@@ -149,11 +149,6 @@ def parse_config(command, path=None, overrides=None):
     return RunConfig(command, values)
 
 
-def _solver_config(cfg):
-    return SolverConfig(rel_tol=cfg.lin_tol, abs_tol=1e-14,
-                        max_iter=cfg.lin_maxit)
-
-
 def _write_fields_csv(path, mesh, state):
     with open(path, "w") as fh:
         fh.write("kind,x,y,rho,p,u1,u2\n")
@@ -245,8 +240,9 @@ def _cmd_stability(cfg):
     mesh = build_rect_mesh(nx, ny, cfg.domain)
     eos = make_eos(cfg.eos, cfg.gamma, cfg.mach)
     config = SchemeConfig(dt=cfg.dt, mu=cfg.mu, eos=eos,
-                          convection=cfg.convection, proj_eps=cfg.proj_eps,
-                          alpha=cfg.alpha, lin=_solver_config(cfg))
+                          convection=cfg.convection, proj_eps=cfg.proj_eps, alpha=cfg.alpha,
+                          lin=SolverConfig(rel_tol=cfg.lin_tol, abs_tol=1e-14,
+                                           max_iter=cfg.lin_maxit))
     state = perturbed_initial_state(mesh, eos, cfg.seed)
     nsteps = cfg.steps if cfg.steps is not None else int(round(cfg.t_end / cfg.dt))
     stepper = Stepper(mesh, config)

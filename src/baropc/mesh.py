@@ -50,6 +50,7 @@ class RectMesh:
         self._build_diamonds()
         self._build_subedges()
         self._freeze()
+        self._cache = {}
 
     # ------------------------------------------------------------------
     def _build_cells(self):
@@ -192,16 +193,12 @@ class RectMesh:
                 value.flags.writeable = False
 
     # ------------------------------------------------------------------
-    def cell_outward_normals(self, k):
-        """Outward unit normals n_{K,sigma} of the four edges of cell k."""
-        return self.cell_edge_signs[k][:, None] * self.edge_normals[self.cell_edges[k]]
-
-    def reference_coords(self, k, points):
-        """Map physical points inside cell k to [-1,1]^2 coordinates."""
-        points = np.asarray(points, dtype=float)
-        c = self.cell_centroids[k]
-        return np.stack([2.0 * (points[..., 0] - c[0]) / self.hx,
-                         2.0 * (points[..., 1] - c[1]) / self.hy], axis=-1)
+    def cached(self, key, build):
+        """Derived data of this mesh (patterns, gather indices, quadrature
+        data), made by build(mesh) on first request and kept with the mesh."""
+        if key not in self._cache:
+            self._cache[key] = build(self)
+        return self._cache[key]
 
     def __repr__(self):
         return f"RectMesh({self.nx}x{self.ny}, domain={self.domain})"

@@ -10,7 +10,12 @@ convention:
 
 so that G = -D^T on interior unknowns and <G q, v> + <q, D v> = 0 for any
 velocity v vanishing on the boundary.
+
+What depends only on the mesh (sparsity patterns, gather indices, weights)
+is built on first use and kept in `RectMesh.cached`; calls compute values.
 """
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,28 +60,6 @@ def basis_gradients(ref_points):
     return grads
 
 
-def shape_value(mesh, cell, edge, point, tol=1e-12):
-    """Basis function of `edge` (a member of E(cell)) at a physical point."""
-    ref = mesh.reference_coords(cell, point)
-    if np.any(np.abs(ref) > 1.0 + tol):
-        raise FieldError(f"point {point} lies outside cell {cell}")
-    slots = mesh.cell_edges[cell]
-    matches = np.nonzero(slots == edge)[0]
-    if matches.size == 0:
-        raise FieldError(f"edge {edge} does not belong to cell {cell}")
-    return basis_values(ref)[..., matches[0]]
-
-
-def interpolate_velocity(mesh, u, cell, point, tol=1e-12):
-    """Finite element expansion of u at physical point(s) inside a cell."""
-    ref = mesh.reference_coords(cell, point)
-    if np.any(np.abs(ref) > 1.0 + tol):
-        raise FieldError(f"point {point} lies outside cell {cell}")
-    phi = basis_values(ref)                       # (..., 4)
-    coeff = u[mesh.cell_edges[cell]]              # (4, 2)
-    return phi @ coeff
-
-
 # ----------------------------------------------------------------------
 # Gauss-Legendre tensor quadrature on the reference square
 
@@ -116,15 +99,17 @@ def edge_mean(mesh, func, t=None, n=3):
 
     `func(points[, t])` must accept an (m, 2) array of points and return
     (m,) or (m, d) values.  Used to set velocity data and initial states.
+    For a given mesh and n the points are the same read-only array.
     """
-    x, w = gauss_points_1d(n)
-    w = w / 2.0                                    # means, not integrals
-    pts = (mesh.edge_p0[:, None, :] * (1.0 - x[None, :, None]) / 2.0
-           + mesh.edge_p1[:, None, :] * (1.0 + x[None, :, None]) / 2.0)
-    flat = pts.reshape(-1, 2)
+    def build(mesh):
+        x, w = gauss_points_1d(n)
+        pts = (mesh.edge_p0[:, None, :] * (1.0 - x[None, :, None]) / 2.0
+               + mesh.edge_p1[:, None, :] * (1.0 + x[None, :, None]) / 2.0)
+        return _frozen(pts.reshape(-1, 2)), w / 2.0     # means, not integrals
+    flat, w = mesh.cached(("edge_points", n), build)
     vals = func(flat) if t is None else func(flat, t)
     vals = np.asarray(vals, dtype=float)
-    vals = vals.reshape(mesh.nedges, x.size, -1)
+    vals = vals.reshape(mesh.nedges, w.size, -1)
     out = np.einsum("q,eqd->ed", w, vals)
     return out[:, 0] if out.shape[1] == 1 else out
 
@@ -132,65 +117,96 @@ def edge_mean(mesh, func, t=None, n=3):
 # ----------------------------------------------------------------------
 # field averaging and first-order operators
 
+def _edge_cells(mesh):
+    """Both cells of every edge; a boundary edge repeats its inner cell."""
+    def build(mesh):
+        K, L = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
+        return K, _frozen(np.where(mesh.edge_is_boundary, K, L).astype(np.int32))
+    return mesh.cached("edge_cells", build)
+
+
 def edge_density(mesh, rho):
     """Half-diamond weighted average of a positive cell density on edges."""
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0.0):
         raise FieldError("cell density must be strictly positive")
-    K = mesh.edge_cells[:, 0]
-    L = mesh.edge_cells[:, 1]
-    hd = mesh.half_diamond_volumes
-    out = hd[:, 0] * rho[K]
-    internal = ~mesh.edge_is_boundary
-    out[internal] += hd[internal, 1] * rho[L[internal]]
-    return out / mesh.diamond_volumes
+    K, L = _edge_cells(mesh)
+    hd = mesh.half_diamond_volumes                 # the outer half is 0 on the boundary
+    return (hd[:, 0] * rho[K] + hd[:, 1] * rho[L]) / mesh.diamond_volumes
 
 
 def divergence(mesh, u):
     """Cell divergence (D u)_K, boundary edges included with their values."""
-    ce = mesh.cell_edges
-    un = np.einsum("ced,ced->ce", u[ce], mesh.edge_normals[ce])
-    return np.einsum("ce,ce->c", mesh.edge_lengths[ce] * mesh.cell_edge_signs, un)
+    def build(mesh):
+        # normals are axis-aligned: x for the left/right slots, y for bottom/top
+        ce, axis = mesh.cell_edges, np.array([0, 0, 1, 1])
+        coeff = mesh.edge_lengths[ce] * mesh.cell_edge_signs * mesh.edge_normals[ce, axis]
+        return _frozen((2 * ce + axis).astype(np.int32)), _frozen(coeff)
+    flat_index, coeff = mesh.cached("divergence", build)
+    return np.einsum("ce,ce->c", coeff, np.asarray(u, dtype=float).ravel()[flat_index])
 
 
 def gradient(mesh, q):
     """(G q)_sigma = |sigma| (q_L - q_K) n_KL on internal edges, 0 on boundary."""
-    out = np.zeros((mesh.nedges, 2))
-    internal = mesh.interior_edges
-    K = mesh.edge_cells[internal, 0]
-    L = mesh.edge_cells[internal, 1]
-    jump = mesh.edge_lengths[internal] * (q[L] - q[K])
-    out[internal] = jump[:, None] * mesh.edge_normals[internal]
-    return out
+    K, L = _edge_cells(mesh)                       # q_L - q_K = +0 on the boundary
+    normal = mesh.cached("interior_normals", lambda mesh: _frozen(
+        np.where(mesh.edge_is_boundary[:, None], 0.0, mesh.edge_normals)))
+    return (mesh.edge_lengths * (q[L] - q[K]))[:, None] * normal
 
 
-def div_matrix_interior(mesh):
-    """Sparse D restricted to interior velocity unknowns: (ncells, 2*n_int).
+# ----------------------------------------------------------------------
+# fixed sparsity patterns
 
-    Flat velocity index is 2*interior_position + component.  The exact
-    negative transpose of this matrix is the gradient on interior edges.
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+class Pattern:
+    """Fixed CSR sparsity, refilled with new values on every use.
+
+    `assemble` remembers where each COO entry lands, and `fill` sums the
+    duplicates in entry order as scipy's COO -> CSR conversion does, so a
+    refilled matrix equals a fresh COO assembly entry for entry.  All
+    matrices of a pattern share its read-only index arrays.
     """
-    internal = mesh.interior_edges
-    pos = mesh.interior_index[internal]
-    K = mesh.edge_cells[internal, 0]
-    L = mesh.edge_cells[internal, 1]
-    coeff = mesh.edge_lengths[internal][:, None] * mesh.edge_normals[internal]
-    rows = np.concatenate([np.repeat(K, 2), np.repeat(L, 2)])
-    cols = np.tile(np.stack([2 * pos, 2 * pos + 1], axis=1).ravel(), 2)
-    vals = np.concatenate([coeff.ravel(), -coeff.ravel()])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(mesh.ncells, 2 * mesh.n_interior))
+
+    def __init__(self, indptr, indices, shape, slot=None):
+        self.indptr = _frozen(np.asarray(indptr, dtype=np.int32))
+        self.indices = _frozen(np.asarray(indices, dtype=np.int32))
+        self.shape, self.slot, self.nnz = shape, slot, self.indices.size
+
+    @classmethod
+    def assemble(cls, rows, cols, shape):
+        """The pattern of a COO assembly listing its entries in order."""
+        keys, slot = np.unique(np.asarray(rows, dtype=np.int64) * shape[1] + cols,
+                               return_inverse=True)
+        rows, cols = np.divmod(keys, shape[1])
+        return cls(np.searchsorted(rows, np.arange(shape[0] + 1)), cols, shape,
+                   _frozen(slot.astype(np.int32)))
+
+    def fill(self, vals):
+        if self.slot is not None:
+            vals = np.bincount(self.slot, weights=vals, minlength=self.nnz)
+        return sp.csr_matrix((vals, self.indices, self.indptr), shape=self.shape)
+
+    @cached_property
+    def diagonal(self):
+        """Data positions of the diagonal entries."""
+        return positions(marker(self).diagonal())
 
 
-def lumped_mass(mesh, w):
-    """Diagonal velocity mass entries |D_sigma| * w_sigma, one per edge.
+def marker(A):
+    """A matrix on A's pattern holding 1, 2, ..., nnz: slices and products
+    of it read back where the selected entries sit in A (see positions)."""
+    return sp.csr_matrix((np.arange(1.0, A.nnz + 1.0), A.indices, A.indptr), shape=A.shape)
 
-    Returned as an (nedges,) array; expand per component as needed.  The
-    weight must be strictly positive so the matrix is invertible.
-    """
-    w = np.asarray(w, dtype=float)
-    if np.any(w <= 0.0):
-        raise FieldError("lumped mass weight must be strictly positive")
-    return mesh.diamond_volumes * w
+
+def positions(marks):
+    """0-based data positions from marker values; 0 marks an unstored entry."""
+    if np.any(marks == 0.0):
+        raise ValueError("entries outside the sparsity pattern")
+    return _frozen(marks.astype(np.int32) - 1)
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +217,8 @@ def viscous_stiffness(mesh, mu):
 
     Assembled cellwise with 2x2 Gauss (exact for the rotated bilinear
     gradients); returns CSR of size (2*nedges, 2*nedges), flat dof 2*edge
-    + component.  Symmetric positive semi-definite.
+    + component.  Symmetric positive semi-definite.  Couplings that vanish
+    for every mu are not stored: the pattern depends on the mesh only.
     """
     if mu < 0.0:
         raise FieldError("viscosity must be nonnegative")
@@ -213,6 +230,7 @@ def viscous_stiffness(mesh, mu):
     scale = np.array([[hy / hx, 1.0], [1.0, hx / hy]])
     # local 8x8, dof order (edge slot a, component i) -> 2a + i
     loc = np.zeros((8, 8))
+    coupled = np.zeros((8, 8), dtype=bool)
     for a in range(4):
         for b in range(4):
             grad_dot = scale[0, 0] * I[a, b, 0, 0] + scale[1, 1] * I[a, b, 1, 1]
@@ -222,12 +240,14 @@ def viscous_stiffness(mesh, mu):
                     if i == j:
                         val += mu * grad_dot
                     loc[2 * a + i, 2 * b + j] = val
+                    coupled[2 * a + i, 2 * b + j] = i == j or I[a, b, i, j] != 0.0
 
     gdof = np.repeat(2 * mesh.cell_edges, 2, axis=1)
     gdof[:, 1::2] += 1                             # (ncells, 8)
-    rows = np.repeat(gdof, 8, axis=1).ravel()
-    cols = np.tile(gdof, (1, 8)).ravel()
-    vals = np.tile(loc.ravel(), mesh.ncells)
+    keep = coupled.ravel()
+    rows = np.repeat(gdof, 8, axis=1)[:, keep].ravel()
+    cols = np.tile(gdof, (1, 8))[:, keep].ravel()
+    vals = np.tile(loc.ravel()[keep], mesh.ncells)
     n = 2 * mesh.nedges
     A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     A.sum_duplicates()
@@ -244,28 +264,37 @@ def subedge_velocity_coeffs(mesh, u):
     midpoints, which for this element is the average of the two edge
     values meeting at the sub-edge's vertex.
     """
-    ref = np.stack([
-        2.0 * (mesh.sub_midpoints[:, 0] - mesh.cell_centroids[mesh.sub_cell, 0]) / mesh.hx,
-        2.0 * (mesh.sub_midpoints[:, 1] - mesh.cell_centroids[mesh.sub_cell, 1]) / mesh.hy,
-    ], axis=-1)
-    phi = basis_values(ref)                            # (nsub, 4)
-    coeff = u[mesh.cell_edges[mesh.sub_cell]]          # (nsub, 4, 2)
-    umid = np.einsum("sa,sad->sd", phi, coeff)
+    def build(mesh):
+        ref = np.stack([
+            2.0 * (mesh.sub_midpoints[:, 0] - mesh.cell_centroids[mesh.sub_cell, 0]) / mesh.hx,
+            2.0 * (mesh.sub_midpoints[:, 1] - mesh.cell_centroids[mesh.sub_cell, 1]) / mesh.hy,
+        ], axis=-1)
+        return _frozen(basis_values(ref)), _frozen(mesh.cell_edges[mesh.sub_cell].astype(np.int32))
+    phi, edges = mesh.cached("subedge_interpolation", build)   # (nsub, 4) each
+    umid = np.einsum("sa,sad->sd", phi, np.take(u, edges, axis=0))
     return mesh.sub_lengths * np.einsum("sd,sd->s", umid, mesh.sub_normals)
 
 
-def _upwind_scalar_matrix(mesh, a):
-    """Scalar upwind transport stencil over diamonds from per-sub-edge a."""
-    s1 = mesh.sub_pair[:, 0]
-    s2 = mesh.sub_pair[:, 1]
-    ap = np.maximum(a, 0.0)
-    am = np.maximum(-a, 0.0)
-    rows = np.concatenate([s1, s1, s2, s2])
-    cols = np.concatenate([s1, s2, s2, s1])
-    vals = np.concatenate([ap, -am, am, -ap])
-    C = sp.csr_matrix((vals, (rows, cols)), shape=(mesh.nedges, mesh.nedges))
-    C.sum_duplicates()
-    return C
+def subedge_pattern(mesh):
+    """Scalar diamond stencil: entries (s1,s1), (s1,s2), (s2,s2), (s2,s1)."""
+    def build(mesh):
+        s1, s2 = mesh.sub_pair[:, 0], mesh.sub_pair[:, 1]
+        return Pattern.assemble(np.concatenate([s1, s1, s2, s2]),
+                                np.concatenate([s1, s2, s2, s1]), (mesh.nedges, mesh.nedges))
+    return mesh.cached("subedge_pattern", build)
+
+
+def _subedge_matrix(mesh, a, mode):
+    """Scalar diamond transport stencil from per-sub-edge a, centered or upwind."""
+    if mode == "centered":
+        half = 0.5 * a
+        vals = [half, half, -half, -half]
+    elif mode == "upwind":
+        ap, am = np.maximum(a, 0.0), np.maximum(-a, 0.0)
+        vals = [ap, -am, am, -ap]
+    else:
+        raise ValueError(f"unknown convection mode '{mode}'")
+    return subedge_pattern(mesh).fill(np.concatenate(vals))
 
 
 def convection_matrix(mesh, fluxes, mode="centered", tol=1e-10):
@@ -282,24 +311,28 @@ def convection_matrix(mesh, fluxes, mode="centered", tol=1e-10):
         if np.max(np.abs(fluxes[:, 0] + fluxes[:, 1])) > tol * scale:
             raise FieldError("sub-edge fluxes are not antisymmetric")
         fluxes = fluxes[:, 0]
-    if mode == "centered":
-        s1 = mesh.sub_pair[:, 0]
-        s2 = mesh.sub_pair[:, 1]
-        half = 0.5 * fluxes
-        rows = np.concatenate([s1, s1, s2, s2])
-        cols = np.concatenate([s1, s2, s2, s1])
-        vals = np.concatenate([half, half, -half, -half])
-        C = sp.csr_matrix((vals, (rows, cols)), shape=(mesh.nedges, mesh.nedges))
-        C.sum_duplicates()
-    elif mode == "upwind":
-        C = _upwind_scalar_matrix(mesh, fluxes)
-    else:
-        raise ValueError(f"unknown convection mode '{mode}'")
-    return sp.kron(C, sp.identity(2, format="csr"), format="csr")
+    C = _subedge_matrix(mesh, fluxes, mode)
+
+    def build(mesh):   # kron(C, I2): its pattern and the scalar entry of each entry
+        K = sp.kron(marker(C), sp.identity(2, format="csr"), format="csr")
+        return Pattern(K.indptr, K.indices, K.shape), positions(K.data)
+    pattern, source = mesh.cached("convection_pattern", build)
+    return pattern.fill(C.data[source])
 
 
 # ----------------------------------------------------------------------
 # pressure operator
+
+def pressure_pattern(mesh):
+    """Two-point stencil over interior edges, with every diagonal entry."""
+    def build(mesh):
+        internal = mesh.interior_edges
+        K, L = mesh.edge_cells[internal, 0], mesh.edge_cells[internal, 1]
+        cells = np.arange(mesh.ncells)
+        return Pattern.assemble(np.concatenate([K, L, K, L, cells]),
+                                np.concatenate([K, L, L, K, cells]), (mesh.ncells, mesh.ncells))
+    return mesh.cached("pressure_pattern", build)
+
 
 def pressure_laplacian(mesh, w, q_up=None):
     """Finite-volume pressure operator with edge weights q_up / w.
@@ -310,6 +343,7 @@ def pressure_laplacian(mesh, w, q_up=None):
     and algebraically it equals the composition of the cell divergence,
     the diagonal upwind-density weight, the inverse lumped mass M_w, and
     the negative transposed divergence.  Symmetric PSD; rows sum to zero.
+    The diagonal is always stored, so shifted operators refill in place.
     """
     w = np.asarray(w, dtype=float)
     if np.any(w <= 0.0):
@@ -322,28 +356,15 @@ def pressure_laplacian(mesh, w, q_up=None):
         if np.any(q_up < 0.0):
             raise FieldError("upwind weight must be nonnegative")
         q = q_up[internal] if q_up.size == mesh.nedges else q_up
-    K = mesh.edge_cells[internal, 0]
-    L = mesh.edge_cells[internal, 1]
     c = (q / w[internal]) * mesh.edge_lengths[internal] ** 2 / mesh.diamond_volumes[internal]
-    rows = np.concatenate([K, L, K, L])
-    cols = np.concatenate([K, L, L, K])
-    vals = np.concatenate([c, c, -c, -c])
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(mesh.ncells, mesh.ncells))
-    A.sum_duplicates()
-    return A
+    return pressure_pattern(mesh).fill(np.concatenate([c, c, -c, -c, np.zeros(mesh.ncells)]))
 
 
-def pressure_laplacian_product(mesh, w, q_up=None):
-    """Same operator assembled as a matrix product (independent route)."""
-    w = np.asarray(w, dtype=float)
-    internal = mesh.interior_edges
-    if q_up is None:
-        q = np.ones(internal.size)
-    else:
-        q_up = np.asarray(q_up, dtype=float)
-        q = q_up[internal] if q_up.size == mesh.nedges else q_up
-    D = div_matrix_interior(mesh)
-    minv = 1.0 / (mesh.diamond_volumes[internal] * w[internal])
-    diag = sp.diags(np.repeat(q * minv, 2))
-    # G = -D^T, so -D (Q M^-1) G = D (Q M^-1) D^T
-    return (D @ diag @ D.T).tocsr()
+def upwind_cell_density(mesh, rho_cells, u):
+    """Cell density upwind of each edge w.r.t. the normal velocity of u.
+
+    On boundary edges the only neighbour, the inner cell, is used.
+    """
+    K, L = _edge_cells(mesh)
+    v = mesh.edge_lengths * np.einsum("ed,ed->e", u, mesh.edge_normals)
+    return np.where(v >= 0.0, rho_cells[K], rho_cells[L])

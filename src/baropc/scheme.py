@@ -10,9 +10,9 @@ per-step energy bound holds to solver tolerance for any time step.
 """
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import operators as ops
 from .eos import EosDomainError
@@ -76,16 +76,13 @@ class SchemeState:
     rho: np.ndarray          # (ncells,), > 0
     rho_edge_pred: np.ndarray  # (nedges,), > 0
 
-    def copy(self):
-        return SchemeState(self.t, self.u.copy(), self.p.copy(),
-                           self.rho.copy(), self.rho_edge_pred.copy())
-
 
 @dataclass
 class ProjectionReport:
     iterations: int
     mass_residual: float
     update_history: list
+    solver_iterations: int = 0     # CG iterations summed over the passes
 
 
 @dataclass
@@ -118,24 +115,30 @@ def initial_state(mesh, eos, rho0, u0):
 # ----------------------------------------------------------------------
 # step 1: density prediction on the diamond cells
 
-def predict_density(mesh, state, config):
+def predict_density(mesh, state, config, rho_edge_n=None, coeffs=None):
     """Upwind mass balance over all diamonds, boundary half-diamonds included.
 
     Returns the predicted edge density.  The transporting field is the
     finite element interpolation of the current velocity at the sub-edge
     midpoints; the flux across the domain boundary uses the prescribed
-    normal velocity times the diamond's own density.
+    normal velocity times the diamond's own density.  The old edge density
+    and the sub-edge velocity coefficients may be passed in if known.
     """
     dt = config.dt
-    a = ops.subedge_velocity_coeffs(mesh, state.u)
-    rho_edge_n = ops.edge_density(mesh, state.rho)
+    a = ops.subedge_velocity_coeffs(mesh, state.u) if coeffs is None else coeffs
+    if rho_edge_n is None:
+        rho_edge_n = ops.edge_density(mesh, state.rho)
     diag = mesh.diamond_volumes / dt
-    A = ops._upwind_scalar_matrix(mesh, a) + sp.diags(diag)
     bnd = mesh.boundary_edges
     bflux = np.zeros(mesh.nedges)
     bflux[bnd] = mesh.edge_lengths[bnd] * np.einsum(
         "ed,ed->e", state.u[bnd], mesh.edge_normals[bnd])
-    A = (A + sp.diags(bflux)).tocsr()
+    A = ops._subedge_matrix(mesh, a, "upwind")
+    on_diagonal = ops.subedge_pattern(mesh).diagonal
+    A.data[on_diagonal] += diag
+    A.data[on_diagonal] += bflux
+    A = A.copy()
+    A.eliminate_zeros()            # the upwind stencil zeroes one coupling per sub-edge
     b = diag * rho_edge_n
     try:
         rho_tilde, report = bicgstab_solve(A, b, config.lin, x0=rho_edge_n)
@@ -147,9 +150,9 @@ def predict_density(mesh, state, config):
     return rho_tilde, report
 
 
-def mass_fluxes(mesh, u, rho_tilde):
+def mass_fluxes(mesh, u, rho_tilde, coeffs=None):
     """Per-sub-edge upwind mass fluxes, oriented out of sub_pair[:, 0]."""
-    a = ops.subedge_velocity_coeffs(mesh, u)
+    a = ops.subedge_velocity_coeffs(mesh, u) if coeffs is None else coeffs
     s1 = mesh.sub_pair[:, 0]
     s2 = mesh.sub_pair[:, 1]
     return np.maximum(a, 0.0) * rho_tilde[s1] - np.maximum(-a, 0.0) * rho_tilde[s2]
@@ -182,25 +185,37 @@ def renormalize_pressure(mesh, state, rho_tilde, config):
 # ----------------------------------------------------------------------
 # step 3: velocity prediction (momentum balance)
 
-def _interior_dofs(mesh):
+def _momentum_plan(mesh, stiffness, convection):
+    """Data positions of the mass diagonal and of the convection couplings
+    (two edges of one cell, same component) on the stiffness pattern, and
+    the blocks of interior rows against interior and boundary columns."""
     e = mesh.interior_edges
-    return np.stack([2 * e, 2 * e + 1], axis=1).ravel()
-
-
-def _boundary_dofs(mesh):
-    e = mesh.boundary_edges
-    return np.stack([2 * e, 2 * e + 1], axis=1).ravel()
+    idof = np.stack([2 * e, 2 * e + 1], axis=1).ravel().astype(np.int32)
+    bdof = np.setdiff1d(np.arange(stiffness.shape[0]), idof)
+    marks = ops.marker(stiffness)
+    conv = marks.multiply(ops.marker(convection).sign()).tocsr()
+    if conv.nnz != convection.nnz:
+        raise ValueError("convection couplings outside the stiffness pattern")
+    blocks, inner_rows = [], marks[idof]
+    for cols in (idof, bdof):
+        block = inner_rows[:, cols]
+        block.sort_indices()
+        blocks.append((ops.Pattern(block.indptr, block.indices, block.shape),
+                       ops.positions(block.data)))
+    return SimpleNamespace(diagonal=ops.positions(marks.diagonal()),
+                           conv=ops.positions(conv.data), idof=idof, bdof=bdof, blocks=blocks)
 
 
 def predict_velocity(mesh, state, rho_tilde, p_tilde, config,
-                     fluxes=None, stiffness=None):
+                     fluxes=None, stiffness=None, rho_edge_n=None, bc_next=None):
     """Semi-implicit momentum solve for the tentative velocity.
 
     The convection matrix is built from the same mass fluxes as the
     density prediction (that compatibility is the point of step 1), the
     pressure force uses the discrete gradient of the renormalized
     pressure, and Dirichlet rows are eliminated with boundary data at the
-    new time level moved to the right-hand side.
+    new time level moved to the right-hand side.  The optional arguments
+    are inputs the caller may already have computed.
     """
     dt = config.dt
     t_next = state.t + dt
@@ -210,20 +225,25 @@ def predict_velocity(mesh, state, rho_tilde, p_tilde, config,
         stiffness = ops.viscous_stiffness(mesh, config.mu)
     C = ops.convection_matrix(mesh, fluxes, config.convection)
     m_new = np.repeat(mesh.diamond_volumes * rho_tilde, 2) / dt
-    A = (sp.diags(m_new) + C + stiffness).tocsr()
+    plan = mesh.cached("momentum_plan", lambda mesh: _momentum_plan(mesh, stiffness, C))
+    # (M + C) + K entry by entry, as the sum of the three sparse matrices
+    vals = np.zeros(stiffness.nnz)
+    vals[plan.diagonal] = m_new
+    vals[plan.conv] += C.data
+    vals += stiffness.data
+    (inner, inner_from), (outer, outer_from) = plan.blocks
 
-    rho_edge_n = ops.edge_density(mesh, state.rho)
+    if rho_edge_n is None:
+        rho_edge_n = ops.edge_density(mesh, state.rho)
     rhs = (mesh.diamond_volumes * rho_edge_n)[:, None] / dt * state.u
     rhs -= ops.gradient(mesh, p_tilde)
     rhs += config.forcing(mesh, t_next)
     rhs = rhs.ravel()
 
-    bc = config.bc(mesh, t_next)
-    idof = _interior_dofs(mesh)
-    bdof = _boundary_dofs(mesh)
-    ub = bc.ravel()[bdof]
-    A_ii = A[idof][:, idof]
-    rhs_i = rhs[idof] - A[idof][:, bdof] @ ub
+    bc = config.bc(mesh, t_next) if bc_next is None else bc_next
+    idof = plan.idof
+    A_ii = inner.fill(vals[inner_from])
+    rhs_i = rhs[idof] - outer.fill(vals[outer_from]) @ bc.ravel()[plan.bdof]
     try:
         x, report = bicgstab_solve(A_ii, rhs_i, config.lin, x0=state.u.ravel()[idof])
     except LinearSolverError as err:
@@ -236,21 +256,6 @@ def predict_velocity(mesh, state, rho_tilde, p_tilde, config,
 
 # ----------------------------------------------------------------------
 # step 4: nonlinear projection
-
-def _upwind_cell_density(mesh, rho_cells, u):
-    """Upwind cell density per edge w.r.t. the normal velocity of u."""
-    v = mesh.edge_lengths * np.einsum("ed,ed->e", u, mesh.edge_normals)
-    K = mesh.edge_cells[:, 0]
-    L = mesh.edge_cells[:, 1].copy()
-    L[L < 0] = K[L < 0]                    # boundary: the inner cell
-    return np.where(v >= 0.0, rho_cells[K], rho_cells[L]), v
-
-
-def _mass_balance_residual(mesh, dt, rho_old, rho_new, rho_up, u):
-    res = mesh.cell_volumes * (rho_new - rho_old) / dt
-    res += ops.divergence(mesh, rho_up[:, None] * u)
-    return res
-
 
 def projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, config):
     """Coupled pressure/velocity correction enforcing the cell mass balance.
@@ -267,8 +272,7 @@ def projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, config):
     eos = config.eos
     vol = mesh.cell_volumes
     r_dt2 = vol / dt ** 2
-    internal = mesh.interior_edges
-    minv_g = 1.0 / (mesh.diamond_volumes[internal] * rho_tilde[internal])
+    minv = 1.0 / (mesh.diamond_volumes * rho_tilde)
     res_scale = np.max(vol * state.rho) / dt
     # the achievable mass-balance residual is floored by the linear solves
     res_tol = max(config.proj_eps, 20.0 * config.lin.rel_tol)
@@ -280,7 +284,9 @@ def projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, config):
     u_k = u_tilde.copy()
     history = []
     iterations = 0
+    cg_iterations = 0
     res_rel = np.inf
+    on_diagonal = ops.pressure_pattern(mesh).diagonal
 
     def rho_of(p, where):
         try:
@@ -292,30 +298,30 @@ def projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, config):
     for k in range(config.proj_maxit):
         iterations = k + 1
         rho_k = rho_of(p_k, f"inner iteration {k + 1}")
-        rho_up, _ = _upwind_cell_density(mesh, rho_k, u_k)
-        L = ops.pressure_laplacian(mesh, rho_tilde, rho_up)
+        rho_up = ops.upwind_cell_density(mesh, rho_k, u_k)
+        A = ops.pressure_laplacian(mesh, rho_tilde, rho_up)
         drho = eos.drho_dp(p_k)
-        A = (L + sp.diags(r_dt2 * drho)).tocsr()
-        b = L @ p_tilde + r_dt2 * (state.rho - rho_k + drho * p_k)
+        b = A @ p_tilde + r_dt2 * (state.rho - rho_k + drho * p_k)
         b -= ops.divergence(mesh, rho_up[:, None] * u_tilde) / dt
+        A.data[on_diagonal] += r_dt2 * drho          # the Newton shift
         try:
-            p_half, _ = cg_solve(A, b, config.lin, x0=p_k)
+            p_half, solve = cg_solve(A, b, config.lin, x0=p_k)
         except LinearSolverError as err:
             raise SchemeError(f"projection pressure solve failed: {err}",
                               err.history) from err
+        cg_iterations += solve.iterations
         p_next = config.alpha * p_half + (1.0 - config.alpha) * p_k
 
-        u_next = u_tilde.copy()
-        gdp = ops.gradient(mesh, p_next - p_tilde)[internal]
-        u_next[internal] -= dt * minv_g[:, None] * gdp
+        # boundary rows keep u_tilde: the gradient vanishes there
+        u_next = u_tilde - dt * minv[:, None] * ops.gradient(mesh, p_next - p_tilde)
 
         dp = np.max(np.abs(p_next - p_k)) / max(np.max(np.abs(p_next)), 1e-300)
         du = np.max(np.abs(u_next - u_k)) / max(np.max(np.abs(u_next)), 1e-300)
         p_k, u_k = p_next, u_next
 
         rho_new = rho_of(p_k, f"update of inner iteration {k + 1}")
-        rho_up_new, _ = _upwind_cell_density(mesh, rho_new, u_k)
-        res = _mass_balance_residual(mesh, dt, state.rho, rho_new, rho_up_new, u_k)
+        rho_up_new = ops.upwind_cell_density(mesh, rho_new, u_k)
+        res = vol * (rho_new - state.rho) / dt + ops.divergence(mesh, rho_up_new[:, None] * u_k)
         res_rel = np.max(np.abs(res)) / res_scale
         history.append((dp, du, res_rel))
         if max(dp, du) < update_tol and res_rel < res_tol:
@@ -336,7 +342,7 @@ def projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, config):
     if np.any(rho_new <= 0.0):
         raise SchemeError(f"projection produced nonpositive density "
                           f"(min {rho_new.min():.3e})")
-    return u_k, p_k, rho_new, ProjectionReport(iterations, res_rel, history)
+    return u_k, p_k, rho_new, ProjectionReport(iterations, res_rel, history, cg_iterations)
 
 
 # ----------------------------------------------------------------------
@@ -361,16 +367,24 @@ def renormalize_velocity(mesh, u_bar, rho_new, rho_tilde, bc_next):
 # one full step
 
 def advance(mesh, state, config, stiffness=None):
-    """Run steps 1-5 once; returns the new state and a step report."""
+    """Run steps 1-5 once; returns the new state and a step report.
+
+    Fields that several stages share (the old edge density, the sub-edge
+    velocity coefficients and the boundary data at the new time) are
+    computed once here and handed to the stages.
+    """
     rho_edge_n = ops.edge_density(mesh, state.rho)
-    rho_tilde, rep1 = predict_density(mesh, state, config)
-    fluxes = mass_fluxes(mesh, state.u, rho_tilde)
+    coeffs = ops.subedge_velocity_coeffs(mesh, state.u)
+    bc_next = config.bc(mesh, state.t + config.dt)
+    rho_tilde, rep1 = predict_density(mesh, state, config, rho_edge_n=rho_edge_n,
+                                      coeffs=coeffs)
+    fluxes = mass_fluxes(mesh, state.u, rho_tilde, coeffs=coeffs)
     p_tilde, rep2 = renormalize_pressure(mesh, state, rho_tilde, config)
     u_tilde, rep3 = predict_velocity(mesh, state, rho_tilde, p_tilde, config,
-                                     fluxes=fluxes, stiffness=stiffness)
+                                     fluxes=fluxes, stiffness=stiffness,
+                                     rho_edge_n=rho_edge_n, bc_next=bc_next)
     u_bar, p_new, rho_new, proj = projection_step(
         mesh, state, rho_tilde, p_tilde, u_tilde, config)
-    bc_next = config.bc(mesh, state.t + config.dt)
     u_new = renormalize_velocity(mesh, u_bar, rho_new, rho_tilde, bc_next)
     new_state = SchemeState(state.t + config.dt, u_new, p_new, rho_new, rho_tilde)
     report = StepReport(
@@ -383,6 +397,7 @@ def advance(mesh, state, config, stiffness=None):
             "density": rep1.iterations,
             "renorm": rep2.iterations,
             "momentum": rep3.iterations,
+            "projection": proj.solver_iterations,
         },
     )
     return new_state, report

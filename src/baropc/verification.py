@@ -20,6 +20,7 @@ from .linsolve import SolverConfig
 from .scheme import SchemeConfig, Stepper, initial_state
 
 _PI = np.pi
+_BLOCK = 8192        # points per block of the forcing evaluation
 
 
 class SmoothFlowCase:
@@ -41,55 +42,30 @@ class SmoothFlowCase:
 
     # -- primitive fields and their derivatives -----------------------
     @staticmethod
-    def _trig(x, t):
+    def spatial(x):
+        """Factors sin/cos(pi x1), sin/cos(pi x2) at points x.  Every field
+        method accepts them in place of x, so fixed points need them once."""
+        if isinstance(x, tuple):
+            return x
         x1, x2 = x[..., 0], x[..., 1]
         return (np.sin(_PI * x1), np.cos(_PI * x1),
-                np.sin(_PI * x2), np.cos(_PI * x2),
-                np.sin(_PI * t), np.cos(_PI * t))
+                np.sin(_PI * x2), np.cos(_PI * x2))
+
+    @classmethod
+    def _trig(cls, x, t):
+        return (*cls.spatial(x), np.sin(_PI * t), np.cos(_PI * t))
 
     def rho(self, x, t):
         s1, c1, s2, c2, st, ct = self._trig(x, t)
         return 1.0 + 0.25 * st * (c1 - s2)
 
-    def drho_dt(self, x, t):
-        s1, c1, s2, c2, st, ct = self._trig(x, t)
-        return 0.25 * _PI * ct * (c1 - s2)
-
     def grad_rho(self, x, t):
         s1, c1, s2, c2, st, ct = self._trig(x, t)
         return 0.25 * st * np.stack([-_PI * s1, -_PI * c2], axis=-1)
 
-    def hess_rho(self, x, t):
-        """(d_xx, d_yy, d_xy) of rho."""
-        s1, c1, s2, c2, st, ct = self._trig(x, t)
-        quarter = 0.25 * _PI ** 2 * st
-        return -quarter * c1, quarter * s2, np.zeros_like(c1)
-
     def momentum(self, x, t):
         s1, c1, s2, c2, st, ct = self._trig(x, t)
         return -0.25 * ct * np.stack([s1, c2], axis=-1)
-
-    def dmomentum_dt(self, x, t):
-        s1, c1, s2, c2, st, ct = self._trig(x, t)
-        return 0.25 * _PI * st * np.stack([s1, c2], axis=-1)
-
-    def jac_momentum(self, x, t):
-        """J[..., i, j] = d m_i / d x_j (diagonal for this flow)."""
-        s1, c1, s2, c2, st, ct = self._trig(x, t)
-        z = np.zeros_like(s1)
-        row1 = np.stack([-0.25 * _PI * ct * c1, z], axis=-1)
-        row2 = np.stack([z, 0.25 * _PI * ct * s2], axis=-1)
-        return np.stack([row1, row2], axis=-2)
-
-    def _second_momentum(self, x, t):
-        """(d_xx m, d_yy m, d_xy m), each (..., 2)."""
-        s1, c1, s2, c2, st, ct = self._trig(x, t)
-        z = np.zeros_like(s1)
-        quarter = 0.25 * _PI ** 2 * ct
-        mxx = np.stack([quarter * s1, z], axis=-1)
-        myy = np.stack([z, quarter * c2], axis=-1)
-        mxy = np.stack([z, z], axis=-1)
-        return mxx, myy, mxy
 
     # -- derived fields ------------------------------------------------
     def velocity(self, x, t):
@@ -101,64 +77,77 @@ class SmoothFlowCase:
     def grad_pressure(self, x, t):
         return self.grad_rho(x, t) / self.eos.coeff
 
-    def _velocity_derivatives(self, x, t):
-        """First and second derivatives of u = m / rho."""
-        rho = self.rho(x, t)[..., None]
-        m = self.momentum(x, t)
-        jm = self.jac_momentum(x, t)
-        gr = self.grad_rho(x, t)
-        rxx, ryy, rxy = self.hess_rho(x, t)
-        mxx, myy, mxy = self._second_momentum(x, t)
-
-        # du[..., i, j] = dm_i/dx_j / rho - m_i drho_j / rho^2
-        du = jm / rho[..., None] - m[..., :, None] * gr[..., None, :] / rho[..., None] ** 2
-
-        def second(mab, dma, dmb, rab, ra, rb):
-            return (mab / rho - (dma * rb[..., None] + dmb * ra[..., None]) / rho ** 2
-                    - m * rab[..., None] / rho ** 2
-                    + 2.0 * m * (ra * rb)[..., None] / rho ** 3)
-
-        uxx = second(mxx, jm[..., 0], jm[..., 0], rxx, gr[..., 0], gr[..., 0])
-        uyy = second(myy, jm[..., 1], jm[..., 1], ryy, gr[..., 1], gr[..., 1])
-        uxy = second(mxy, jm[..., 0], jm[..., 1], rxy, gr[..., 0], gr[..., 1])
-        return du, uxx, uyy, uxy
-
     def forcing(self, x, t):
         """Analytic momentum residual of the exact fields."""
-        m = self.momentum(x, t)
-        u = self.velocity(x, t)
-        jm = self.jac_momentum(x, t)
-        du, uxx, uyy, uxy = self._velocity_derivatives(x, t)
-
-        conv = np.einsum("...ij,...j->...i", jm, u) + m * np.trace(du, axis1=-2, axis2=-1)[..., None]
-        lap = uxx + uyy
-        # gradient of div u: d_i (du1/dx + du2/dy)
-        grad_div = np.stack([uxx[..., 0] + uxy[..., 1],
-                             uxy[..., 0] + uyy[..., 1]], axis=-1)
-        return (self.dmomentum_dt(x, t) + conv + self.grad_pressure(x, t)
-                - self.mu * lap - (self.mu / 3.0) * grad_div)
+        return self.forcing_rest(x, t) + self.grad_pressure(x, t)
 
     def forcing_rest(self, x, t):
-        """Forcing minus its exact pressure-gradient part."""
-        return self.forcing(x, t) - self.grad_pressure(x, t)
+        """Forcing minus its exact pressure-gradient part.
+
+        dm/dt + div(m u) - mu lap u - (mu/3) grad div u with u = m / rho,
+        evaluated in blocks of points small enough for the temporaries to
+        stay in cache.  Differentiating rho u = m gives each derivative of
+        u from lower ones:  d_j u = (d_j m - u d_j rho) / rho  and
+        d_jk u = (d_jk m - d_j u d_k rho - d_k u d_j rho - u d_jk rho) / rho.
+        Here m_i depends on x_i only and rho has no mixed derivative.
+        """
+        *factors, st, ct = self._trig(x, t)
+        flat = [f.reshape(-1) for f in factors]
+        out = np.empty((flat[0].size, 2))
+        for i in range(0, out.shape[0], _BLOCK):
+            out[i:i + _BLOCK] = self._rest(*(f[i:i + _BLOCK] for f in flat), 0.25 * st, 0.25 * ct)
+        return out.reshape(np.shape(factors[0]) + (2,))
+
+    def _rest(self, s1, c1, s2, c2, a, b):
+        r = 1.0 / (1.0 + a * (c1 - s2))
+        m = (-b * s1, -b * c2)
+        dm = (-_PI * b * c1, _PI * b * s2)                  # d_i m_i
+        ddm = (_PI ** 2 * b * s1, _PI ** 2 * b * c2)        # d_ii m_i
+        g = (-_PI * a * s1, -_PI * a * c2)                  # d_j rho
+        h = (-_PI ** 2 * a * c1, _PI ** 2 * a * s2)         # d_jj rho
+        u = [mi * r for mi in m]
+        du = [[((dm[i] if i == j else 0.0) - u[i] * g[j]) * r for j in (0, 1)]
+              for i in (0, 1)]                              # d_j u_i
+        d2u = [[((ddm[i] if i == j else 0.0) - 2.0 * du[i][j] * g[j] - u[i] * h[j]) * r
+                for j in (0, 1)] for i in (0, 1)]           # d_jj u_i
+        dxy = [-(du[i][0] * g[1] + du[i][1] * g[0]) * r for i in (0, 1)]  # d_01 u_i
+        div = du[0][0] + du[1][1]
+        grad_div = (d2u[0][0] + dxy[1], dxy[0] + d2u[1][1])
+        dmdt = (_PI * a * s1, _PI * a * c2)
+        return np.stack([dmdt[i] + dm[i] * u[i] + m[i] * div
+                         - self.mu * (d2u[i][0] + d2u[i][1]) - (self.mu / 3.0) * grad_div[i]
+                         for i in (0, 1)], axis=-1)
 
 
 # ----------------------------------------------------------------------
 # discrete data extracted from the case
 
-def exact_fields(case, mesh, t):
-    """(rho on cells, p on cells, u edge means) of the exact flow at t."""
-    rho = case.rho(mesh.cell_centroids, t)
-    p = case.eos.pressure(rho)
-    u = ops.edge_mean(mesh, lambda pts: case.velocity(pts, t))
-    return rho, p, u
+def _at_fixed_points(case, mesh, points):
+    """The case's time-independent factors (`spatial`) at one of the mesh's
+    fixed point sets, computed once per mesh; else the points themselves."""
+    spatial = getattr(case, "spatial", None)
+    if spatial is None:
+        return points
+    return mesh.cached(("spatial", spatial, id(points)),
+                       lambda mesh: (points, spatial(points)))[1]
 
 
 def boundary_provider(case):
     """Dirichlet data callback: exact edge means at the requested time."""
     def bc(mesh, t):
-        return ops.edge_mean(mesh, lambda pts: case.velocity(pts, t))
+        return ops.edge_mean(
+            mesh, lambda pts: case.velocity(_at_fixed_points(case, mesh, pts), t))
     return bc
+
+
+def _cell_quadrature(mesh, n):
+    """Cell Gauss points (ncells, q, 2), weights (q,) and basis values (q, 4)."""
+    def build(mesh):
+        ref, _ = ops.gauss_points_2d(n)
+        pts, w = ops.cell_quadrature_points(mesh, n)
+        pts.flags.writeable = False
+        return pts, w, ops.basis_values(ref)
+    return mesh.cached(("cell_quadrature", n), build)
 
 
 def assemble_forcing(case, mesh, t, quad_order=3):
@@ -167,16 +156,16 @@ def assemble_forcing(case, mesh, t, quad_order=3):
     The non-gradient part of the forcing is integrated against the basis
     with a tensor Gauss rule; the exact-pressure part enters as the
     discrete gradient of the cellwise mean pressure, so it lies in the
-    range of the discrete gradient by construction.
+    range of the discrete gradient by construction.  The quadrature data
+    and the case's factors at its points are cached per mesh.
     """
-    ref, _ = ops.gauss_points_2d(quad_order)
-    pts, w = ops.cell_quadrature_points(mesh, quad_order)
-    phi = ops.basis_values(ref)                      # (q, 4)
-    fr = case.forcing_rest(pts, t)                   # (ncells, q, 2)
-    contrib = np.einsum("q,cqd,qa->cad", w, fr, phi)     # (ncells, 4, 2)
-    rhs = np.zeros((mesh.nedges, 2))
-    np.add.at(rhs, mesh.cell_edges, contrib)
-    p_mean = np.einsum("q,cq->c", w, case.pressure(pts, t)) / mesh.cell_volumes
+    pts, w, phi = _cell_quadrature(mesh, quad_order)
+    x = _at_fixed_points(case, mesh, pts)
+    contrib = np.moveaxis(case.forcing_rest(x, t), -1, 0) @ (w[:, None] * phi)  # (2, nc, 4)
+    scatter = mesh.cell_edges.ravel()
+    rhs = np.stack([np.bincount(scatter, weights=c.ravel(), minlength=mesh.nedges)
+                    for c in contrib], axis=-1)
+    p_mean = np.einsum("q,cq->c", w, case.pressure(x, t)) / mesh.cell_volumes
     rhs += ops.gradient(mesh, p_mean)
     return rhs
 
@@ -194,9 +183,7 @@ def error_norms(mesh, state, case, quad_order=3):
     the exact velocity with a tensor Gauss rule per cell; the pressure
     error is the cellwise midpoint (piecewise-constant) distance.
     """
-    ref, _ = ops.gauss_points_2d(quad_order)
-    pts, w = ops.cell_quadrature_points(mesh, quad_order)
-    phi = ops.basis_values(ref)
+    pts, w, phi = _cell_quadrature(mesh, quad_order)
     coeffs = state.u[mesh.cell_edges]                # (ncells, 4, 2)
     u_h = np.einsum("qa,cad->cqd", phi, coeffs)
     diff = u_h - case.velocity(pts, state.t)

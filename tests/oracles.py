@@ -1,0 +1,203 @@
+"""Reference constructions used only by the tests.
+
+Pointwise finite element evaluation, the lumped velocity mass, the
+pressure operator as an explicit matrix product, and fresh COO assemblies
+of every matrix the stepper refills on a fixed pattern.  They are written
+independently of the library's cached patterns so the tests can compare
+the two routes entry by entry.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+from baropc import operators as ops
+from baropc.operators import FieldError
+
+
+# ----------------------------------------------------------------------
+# pointwise evaluation of the rotated bilinear element
+
+def reference_coords(mesh, k, points):
+    """Map physical points inside cell k to [-1,1]^2 coordinates."""
+    points = np.asarray(points, dtype=float)
+    c = mesh.cell_centroids[k]
+    return np.stack([2.0 * (points[..., 0] - c[0]) / mesh.hx,
+                     2.0 * (points[..., 1] - c[1]) / mesh.hy], axis=-1)
+
+
+def shape_value(mesh, cell, edge, point, tol=1e-12):
+    """Basis function of `edge` (a member of E(cell)) at a physical point."""
+    ref = reference_coords(mesh, cell, point)
+    if np.any(np.abs(ref) > 1.0 + tol):
+        raise FieldError(f"point {point} lies outside cell {cell}")
+    slots = mesh.cell_edges[cell]
+    matches = np.nonzero(slots == edge)[0]
+    if matches.size == 0:
+        raise FieldError(f"edge {edge} does not belong to cell {cell}")
+    return ops.basis_values(ref)[..., matches[0]]
+
+
+def interpolate_velocity(mesh, u, cell, point, tol=1e-12):
+    """Finite element expansion of u at physical point(s) inside a cell."""
+    ref = reference_coords(mesh, cell, point)
+    if np.any(np.abs(ref) > 1.0 + tol):
+        raise FieldError(f"point {point} lies outside cell {cell}")
+    phi = ops.basis_values(ref)                   # (..., 4)
+    coeff = u[mesh.cell_edges[cell]]              # (4, 2)
+    return phi @ coeff
+
+
+def lumped_mass(mesh, w):
+    """Diagonal velocity mass entries |D_sigma| * w_sigma, one per edge.
+
+    The weight must be strictly positive so the matrix is invertible.
+    """
+    w = np.asarray(w, dtype=float)
+    if np.any(w <= 0.0):
+        raise FieldError("lumped mass weight must be strictly positive")
+    return mesh.diamond_volumes * w
+
+
+# ----------------------------------------------------------------------
+# the pressure operator as D (Q M^-1) D^T
+
+def div_matrix_interior(mesh):
+    """Sparse D restricted to interior velocity unknowns: (ncells, 2*n_int).
+
+    Flat velocity index is 2*interior_position + component.  The exact
+    negative transpose of this matrix is the gradient on interior edges.
+    """
+    internal = mesh.interior_edges
+    pos = mesh.interior_index[internal]
+    K = mesh.edge_cells[internal, 0]
+    L = mesh.edge_cells[internal, 1]
+    coeff = mesh.edge_lengths[internal][:, None] * mesh.edge_normals[internal]
+    rows = np.concatenate([np.repeat(K, 2), np.repeat(L, 2)])
+    cols = np.tile(np.stack([2 * pos, 2 * pos + 1], axis=1).ravel(), 2)
+    vals = np.concatenate([coeff.ravel(), -coeff.ravel()])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(mesh.ncells, 2 * mesh.n_interior))
+
+
+def pressure_laplacian_product(mesh, w, q_up=None):
+    """The pressure operator assembled as a matrix product (independent route)."""
+    w = np.asarray(w, dtype=float)
+    internal = mesh.interior_edges
+    if q_up is None:
+        q = np.ones(internal.size)
+    else:
+        q_up = np.asarray(q_up, dtype=float)
+        q = q_up[internal] if q_up.size == mesh.nedges else q_up
+    D = div_matrix_interior(mesh)
+    minv = 1.0 / (mesh.diamond_volumes[internal] * w[internal])
+    diag = sp.diags(np.repeat(q * minv, 2))
+    # G = -D^T, so -D (Q M^-1) G = D (Q M^-1) D^T
+    return (D @ diag @ D.T).tocsr()
+
+
+# ----------------------------------------------------------------------
+# fresh COO assemblies of the refilled matrices
+
+def coo(rows, cols, vals, shape):
+    """CSR from triplets, duplicates summed, explicit zeros kept."""
+    A = sp.csr_matrix((vals, (rows, cols)), shape=shape)
+    A.sum_duplicates()
+    return A
+
+
+def _subedge_triplets(mesh, a, mode):
+    s1, s2 = mesh.sub_pair[:, 0], mesh.sub_pair[:, 1]
+    if mode == "centered":
+        half = 0.5 * a
+        vals = [half, half, -half, -half]
+    else:
+        ap, am = np.maximum(a, 0.0), np.maximum(-a, 0.0)
+        vals = [ap, -am, am, -ap]
+    return (np.concatenate([s1, s1, s2, s2]), np.concatenate([s1, s2, s2, s1]),
+            np.concatenate(vals))
+
+
+def convection_coo(mesh, fluxes, mode):
+    """kron(C, I2) of the scalar diamond stencil, from triplets."""
+    rows, cols, vals = _subedge_triplets(mesh, fluxes, mode)
+    C = coo(rows, cols, vals, (mesh.nedges, mesh.nedges))
+    return sp.kron(C, sp.identity(2, format="csr"), format="csr")
+
+
+def density_matrix_coo(mesh, a, dt, u):
+    """Upwind diamond transport plus mass and boundary-outflow diagonals."""
+    rows, cols, vals = _subedge_triplets(mesh, a, "upwind")
+    bnd = mesh.boundary_edges
+    bflux = np.zeros(mesh.nedges)
+    bflux[bnd] = mesh.edge_lengths[bnd] * np.einsum(
+        "ed,ed->e", u[bnd], mesh.edge_normals[bnd])
+    e = np.arange(mesh.nedges)
+    return coo(np.concatenate([rows, e, e]), np.concatenate([cols, e, e]),
+               np.concatenate([vals, mesh.diamond_volumes / dt, bflux]),
+               (mesh.nedges, mesh.nedges))
+
+
+def pressure_coo(mesh, w, q_up=None, shift=None):
+    """Two-point pressure stencil with its diagonal, plus an optional shift."""
+    internal = mesh.interior_edges
+    q = np.ones(internal.size) if q_up is None else np.asarray(q_up)[internal]
+    K, L = mesh.edge_cells[internal, 0], mesh.edge_cells[internal, 1]
+    c = (q / w[internal]) * mesh.edge_lengths[internal] ** 2 / mesh.diamond_volumes[internal]
+    cells = np.arange(mesh.ncells)
+    diag = np.zeros(mesh.ncells) if shift is None else shift
+    return coo(np.concatenate([K, L, K, L, cells]), np.concatenate([K, L, L, K, cells]),
+               np.concatenate([c, c, -c, -c, diag]), (mesh.ncells, mesh.ncells))
+
+
+def momentum_coo(mesh, rho_tilde, dt, fluxes, mode, stiffness):
+    """Mass diagonal + convection + stiffness, split into the interior rows'
+    blocks against interior and boundary columns."""
+    n = 2 * mesh.nedges
+    m_new = np.repeat(mesh.diamond_volumes * rho_tilde, 2) / dt
+    conv = convection_coo(mesh, fluxes, mode).tocoo()
+    K = stiffness.tocoo()
+    dof = np.arange(n)
+    A = coo(np.concatenate([dof, conv.row, K.row]), np.concatenate([dof, conv.col, K.col]),
+            np.concatenate([m_new, conv.data, K.data]), (n, n))
+    inner = np.zeros(n, dtype=bool)
+    inner[2 * mesh.interior_edges] = True
+    inner[2 * mesh.interior_edges + 1] = True
+    idof, bdof = np.nonzero(inner)[0], np.nonzero(~inner)[0]
+    return A[idof][:, idof], A[idof][:, bdof]
+
+
+# ----------------------------------------------------------------------
+# the smooth exact flow: closed-form derivatives and pointwise forcing
+
+def exact_fields(case, mesh, t):
+    """(rho on cells, p on cells, u edge means) of the exact flow at t."""
+    rho = case.rho(mesh.cell_centroids, t)
+    p = case.eos.pressure(rho)
+    u = ops.edge_mean(mesh, lambda pts: case.velocity(pts, t))
+    return rho, p, u
+
+
+def drho_dt(case, x, t):
+    """d rho / dt of SmoothFlowCase."""
+    return 0.25 * np.pi * np.cos(np.pi * t) * (np.cos(np.pi * x[..., 0])
+                                               - np.sin(np.pi * x[..., 1]))
+
+
+def jac_momentum(case, x, t):
+    """J[..., i, j] = d m_i / d x_j of SmoothFlowCase (diagonal for this flow)."""
+    ct = np.cos(np.pi * t)
+    J = np.zeros(x.shape[:-1] + (2, 2))
+    J[..., 0, 0] = -0.25 * np.pi * ct * np.cos(np.pi * x[..., 0])
+    J[..., 1, 1] = 0.25 * np.pi * ct * np.sin(np.pi * x[..., 1])
+    return J
+
+
+def forcing_quadrature(case, mesh, t, quad_order=3):
+    """Load vector from pointwise forcing_rest / pressure at every Gauss point."""
+    ref, _ = ops.gauss_points_2d(quad_order)
+    pts, w = ops.cell_quadrature_points(mesh, quad_order)
+    phi = ops.basis_values(ref)
+    contrib = np.einsum("q,cqd,qa->cad", w, case.forcing_rest(pts, t), phi)
+    rhs = np.zeros((mesh.nedges, 2))
+    np.add.at(rhs, mesh.cell_edges, contrib)
+    p_mean = np.einsum("q,cq->c", w, case.pressure(pts, t)) / mesh.cell_volumes
+    return rhs + ops.gradient(mesh, p_mean)

@@ -201,6 +201,32 @@ def test_energy_bound_check_detects_corruption():
     assert worst < 0.0
 
 
+def test_energy_bound_check_reports_worst_step_after_start(rng):
+    mesh = build_rect_mesh(4, 4)
+    eos = PowerLaw(1.4)
+    cfg = sch.SchemeConfig(dt=0.25, mu=1e-2, eos=eos, lin=SolverConfig(rel_tol=1e-12))
+    rho = smooth_cell_field(mesh, rng)
+    state = sch.SchemeState(0.0, zero_boundary_velocity(mesh, rng, 0.5), eos.pressure(rho),
+                            rho, ops.edge_density(mesh, rho))
+    stepper = sch.Stepper(mesh, cfg)
+    ledger = diag.EnergyLedger(mesh, cfg, stepper.stiffness)
+    ledger.record_initial(state)
+    stepper.run(state, 4, on_step=lambda n, s, rep: ledger.record_step(n, s, rep.u_tilde))
+    lhs, rhs0 = ledger.bound_sides()
+    # move step 2 to just inside the bound, below the margin of step 1
+    ledger.rows[2]["kinetic"] += 0.5 * (rhs0 - lhs[1]) + (lhs[1] - lhs[2])
+    lhs, rhs0 = ledger.bound_sides()
+    rel = (rhs0 - lhs) / np.maximum(np.abs(lhs), abs(rhs0))
+    assert rel[0] == 0.0 and 0.0 < rel[2] < rel[1] and rel[2] == rel[1:].min()
+    ok, worst, step = diag.energy_bound_check(ledger)
+    assert ok
+    assert step == 2
+    assert worst == pytest.approx(rel[2], rel=1e-12)
+
+    ledger.rows = ledger.rows[:1]           # a lone initial row: step 0
+    assert diag.energy_bound_check(ledger) == (True, 0.0, 0)
+
+
 def test_ledger_csv_roundtrip(tmp_path):
     ledger = _equilibrium_ledger(build_rect_mesh(3, 3), AffineLaw(), nsteps=2)
     ledger.fill_margins()
