@@ -1,11 +1,14 @@
 """Krylov solvers for the sparse systems of the time stepper.
 
-Plain conjugate gradients for the symmetric positive (semi-)definite
-pressure systems, BiCGStab for the nonsymmetric transport/momentum
-systems, and a null-space aware variant of CG for the singular
-Neumann-type renormalization operator.  Everything reports iteration
-counts and final residuals; non-convergence raises with the residual
-history attached.
+Preconditioned conjugate gradients for the symmetric positive
+(semi-)definite pressure systems, BiCGStab for the nonsymmetric
+transport/momentum systems, and a null-space aware variant of CG for the
+singular Neumann-type renormalization operator.  CG takes an optional
+preconditioner callable r -> z (the stepper passes the fast-Poisson one of
+`operators.pressure_preconditioner`); without one, and always in BiCGStab,
+the preconditioner is the diagonal named in `SolverConfig`.  Everything
+reports iteration counts and final residuals; non-convergence and
+non-finite recurrences raise with the residual history attached.
 """
 
 from dataclasses import dataclass, field
@@ -54,12 +57,15 @@ def _diag_inverse(A, config):
     return 1.0 / d
 
 
-def cg_solve(A, b, config=None, x0=None, _project=None):
-    """Conjugate gradients for symmetric positive (semi-)definite A.
+def cg_solve(A, b, config=None, x0=None, precond=None, _project=None):
+    """Preconditioned conjugate gradients for symmetric positive (semi-)definite A.
 
-    Stops when ||b - A x|| <= max(rel_tol * ||b||, abs_tol).  `_project`
-    is an optional per-iteration hook applied to the iterate, used by
-    neumann_solve to pin the constant null-space component.
+    Stops when ||b - A x|| <= max(rel_tol * ||b||, abs_tol).  `precond`
+    maps a residual r to z ~ A^-1 r and must be symmetric positive
+    definite on the range of A; by default it is the diagonal preconditioner
+    of `config`.  `_project` is an optional per-iteration hook applied to
+    the iterate, used by neumann_solve to pin the constant null-space
+    component.
     """
     config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
@@ -70,20 +76,26 @@ def cg_solve(A, b, config=None, x0=None, _project=None):
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     if _project is not None:
         x = _project(x)
-    minv = _diag_inverse(A, config)
+    if precond is None:
+        minv = _diag_inverse(A, config)
+        precond = (lambda r: r) if minv is None else (lambda r: minv * r)
 
     r = b - A @ x
-    z = r if minv is None else minv * r
-    p = z.copy()
-    rz = r @ z
     history = [np.linalg.norm(r)]
     if history[-1] <= target:
         return x, SolveReport(0, history[-1], target, True, history)
+    z = precond(r)
+    p = z.copy()
+    rz = r @ z
 
     maxit = config.iterations(n)
     for k in range(1, maxit + 1):
         Ap = A @ p
         pAp = p @ Ap
+        if not (np.isfinite(rz) and np.isfinite(pAp)):
+            raise LinearSolverError(
+                f"CG recurrence not finite at iteration {k}: r.z = {rz:.3e}, "
+                f"p.Ap = {pAp:.3e}", history)
         if pAp <= 0.0:
             raise LinearSolverError(
                 f"CG breakdown at iteration {k}: p.Ap = {pAp:.3e} (matrix not SPD?)",
@@ -95,15 +107,21 @@ def cg_solve(A, b, config=None, x0=None, _project=None):
         r -= alpha * Ap
         res = np.linalg.norm(r)
         history.append(res)
+        if not np.isfinite(res):
+            raise LinearSolverError(f"CG residual not finite at iteration {k}", history)
         if res <= target:
             # guard against drift in the recurrence residual
-            true_res = np.linalg.norm(b - A @ x)
-            history[-1] = true_res
-            if true_res <= target:
-                return x, SolveReport(k, true_res, target, True, history)
             r = b - A @ x
-            res = true_res
-        z = r if minv is None else minv * r
+            res = np.linalg.norm(r)
+            history[-1] = res
+            if res <= target:
+                return x, SolveReport(k, res, target, True, history)
+            # the old direction is not conjugate to the true residual: restart
+            z = precond(r)
+            p = z.copy()
+            rz = r @ z
+            continue
+        z = precond(r)
         rz_new = r @ z
         beta = rz_new / rz
         p = z + beta * p
@@ -185,12 +203,13 @@ def bicgstab_solve(A, b, config=None, x0=None):
         f"target {target:.3e})", history)
 
 
-def neumann_solve(A, b, volumes, config=None):
+def neumann_solve(A, b, volumes, config=None, precond=None):
     """Solve a singular symmetric system whose null space is the constants.
 
     The right-hand side must be (numerically) orthogonal to constants;
     the returned solution has zero volume-weighted mean.  Callers may add
-    any constant afterwards.
+    any constant afterwards.  `precond` is passed to cg_solve; it should
+    map residuals orthogonal to the constants to the same subspace.
     """
     config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
@@ -208,5 +227,5 @@ def neumann_solve(A, b, volumes, config=None):
     def project(x):
         return x - (volumes @ x) / vtot
 
-    x, report = cg_solve(A, b, config, _project=project)
+    x, report = cg_solve(A, b, config, precond=precond, _project=project)
     return project(x), report

@@ -360,6 +360,53 @@ def pressure_laplacian(mesh, w, q_up=None):
     return pressure_pattern(mesh).fill(np.concatenate([c, c, -c, -c, np.zeros(mesh.ncells)]))
 
 
+def _neumann_dct(n):
+    """Orthonormal DCT-II matrix C and the eigenvalues lam of the unit
+    Neumann second difference on n points: that operator is C^T diag(lam) C."""
+    k = np.arange(n)
+    C = np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(k, 2 * k + 1) / (2 * n))
+    C[0] /= np.sqrt(2.0)
+    return _frozen(C), _frozen(4.0 * np.sin(np.pi * k / (2 * n)) ** 2)
+
+
+def pressure_preconditioner(mesh, A, shift=None):
+    """Fast-Poisson preconditioner r -> z for a pressure operator A.
+
+    A is a `pressure_laplacian` matrix, plus `shift` on its diagonal when
+    given.  z is the exact inverse of cx L_x + cy L_y + s I applied to r,
+    where cx, cy are the mean x- and y-edge couplings of A, s = mean(shift)
+    and L_x, L_y the unit Neumann second differences along each axis.  The
+    orthonormal DCT-II diagonalizes that operator on the uniform grid
+    (cell = j*nx + i, so r reshapes to (ny, nx)).  Without a shift, A is
+    the singular Neumann operator and the constant mode is left out, so z
+    stays orthogonal to the constants.  The iteration count of CG with
+    this preconditioner depends on the contrast of the couplings, not on
+    the mesh size.
+    """
+    def build(mesh):
+        internal = mesh.interior_edges
+        m = internal.size
+        couples = pressure_pattern(mesh).slot[2 * m:3 * m]   # the (K, L) entries
+        vertical = internal < mesh.n_vertical
+        return (_neumann_dct(mesh.nx), _neumann_dct(mesh.ny),
+                _frozen(couples[vertical]), _frozen(couples[~vertical]))
+    (Cx, lx), (Cy, ly), x_pos, y_pos = mesh.cached("pressure_dct", build)
+    cx = -A.data[x_pos].mean() if x_pos.size else 0.0
+    cy = -A.data[y_pos].mean() if y_pos.size else 0.0
+    lam = cx * lx[None, :] + cy * ly[:, None]
+    if shift is None:
+        lam[0, 0] = 1.0
+        inv = 1.0 / lam
+        inv[0, 0] = 0.0
+    else:
+        inv = 1.0 / (lam + np.mean(shift))
+    shape = (mesh.ny, mesh.nx)
+
+    def apply(r):
+        return (Cy.T @ (inv * (Cy @ r.reshape(shape) @ Cx.T)) @ Cx).ravel()
+    return apply
+
+
 def upwind_cell_density(mesh, rho_cells, u):
     """Cell density upwind of each edge w.r.t. the normal velocity of u.
 

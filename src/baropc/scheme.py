@@ -175,7 +175,8 @@ def renormalize_pressure(mesh, state, rho_tilde, config):
     b = ops.pressure_laplacian(mesh, w_mixed) @ state.p
     b -= b.sum() / b.size      # strip the rounding noise along constants
     try:
-        x, report = neumann_solve(A, b, mesh.cell_volumes, config.lin)
+        x, report = neumann_solve(A, b, mesh.cell_volumes, config.lin,
+                                  precond=ops.pressure_preconditioner(mesh, A))
     except LinearSolverError as err:
         raise SchemeError(f"pressure renormalization failed: {err}", err.history) from err
     mean = (mesh.cell_volumes @ state.p) / mesh.cell_volumes.sum()
@@ -303,9 +304,11 @@ def projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, config):
         drho = eos.drho_dp(p_k)
         b = A @ p_tilde + r_dt2 * (state.rho - rho_k + drho * p_k)
         b -= ops.divergence(mesh, rho_up[:, None] * u_tilde) / dt
-        A.data[on_diagonal] += r_dt2 * drho          # the Newton shift
+        shift = r_dt2 * drho                         # the Newton shift
+        A.data[on_diagonal] += shift
         try:
-            p_half, solve = cg_solve(A, b, config.lin, x0=p_k)
+            p_half, solve = cg_solve(A, b, config.lin, x0=p_k,
+                                     precond=ops.pressure_preconditioner(mesh, A, shift))
         except LinearSolverError as err:
             raise SchemeError(f"projection pressure solve failed: {err}",
                               err.history) from err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from baropc import operators as ops
 from baropc.cli import ConfigError, main, parse_config, perturbed_initial_state
 from baropc.eos import AffineLaw, PowerLaw
 from baropc.mesh import build_rect_mesh
@@ -90,6 +91,25 @@ def test_stability_command_exit_zero(tmp_path, capsys):
     lines = (tmp_path / "ledger.csv").read_text().splitlines()
     assert lines[0].startswith("step,time,kinetic")
     assert len(lines) == 8
+
+
+def test_stability_tight_tolerance_at_large_step_exits_zero(tmp_path, capsys):
+    # at lin_tol = 1e-12 the CG recurrence residual drifts below the target
+    # while the true residual does not; CG must restart there and converge
+    rc = main(["stability", "--mesh", "64x64", "--dt", "1.0", "--eos", "power",
+               "--steps", "5", "--seed", "0", "--lin-tol", "1e-12",
+               "--outdir", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+    assert "energy bound holds" in capsys.readouterr().out
+
+
+def test_nonfinite_pressure_solve_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ops, "pressure_preconditioner",
+                        lambda mesh, A, shift=None: lambda r: np.full_like(r, np.nan))
+    rc = main(["stability", "--mesh", "6x6", "--dt", "0.2", "--steps", "2",
+               "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_stability_deterministic_output(tmp_path):

@@ -51,6 +51,14 @@ def test_cg_nonconvergence_carries_history():
     assert len(err.value.history) == 4                 # initial + 3 iterations
 
 
+def test_cg_nonfinite_preconditioner_raises_early():
+    A = _poisson_1d(40)
+    with pytest.raises(LinearSolverError, match="not finite") as err:
+        cg_solve(A, np.ones(40), SolverConfig(max_iter=1000),
+                 precond=lambda r: np.full_like(r, np.nan))
+    assert 1 <= len(err.value.history) <= 2
+
+
 def test_cg_rejects_non_spd():
     A = sp.csr_matrix(-np.eye(5))
     with pytest.raises(LinearSolverError):

@@ -14,7 +14,7 @@ from baropc import operators as ops
 from baropc import scheme as sch
 from baropc import verification as ver
 from baropc.eos import PowerLaw
-from baropc.linsolve import SolverConfig
+from baropc.linsolve import SolverConfig, cg_solve, neumann_solve
 from baropc.mesh import build_rect_mesh
 
 from conftest import smooth_cell_field
@@ -147,29 +147,34 @@ def test_boundary_data_matches_pointwise_edge_means():
 
 def test_interleaved_meshes_match_fresh_runs():
     """Two meshes stepped alternately in one process, sharing one case as
-    the convergence study does, reproduce their separate runs bitwise."""
+    the convergence study does, reproduce their separate runs bitwise;
+    each keeps its own pressure preconditioner bases."""
     case = ver.SmoothFlowCase()
 
-    def start(n, dt):
-        mesh = build_rect_mesh(n, n, case.domain)
+    def start(nx, ny, dt):
+        mesh = build_rect_mesh(nx, ny, case.domain)
         stepper = sch.Stepper(mesh, ver.make_config(case, dt))
         return mesh, stepper, ver.initial_exact_state(case, mesh)
 
     def fields(state):
         return np.concatenate([state.u.ravel(), state.p, state.rho])
 
-    runs = [(6, 0.05), (9, 0.1)]
+    runs = [(6, 6, 0.05), (9, 9, 0.1), (7, 4, 0.1)]
     fresh = []
-    for n, dt in runs:
-        _, stepper, state = start(n, dt)
+    for run in runs:
+        _, stepper, state = start(*run)
         fresh.append(fields(stepper.run(state, 4)))
-    live = [start(n, dt) for n, dt in runs]
+    live = [start(*run) for run in runs]
     states = [state for _, _, state in live]
     for _ in range(4):
         for i, (_, stepper, _) in enumerate(live):
             states[i], _ = stepper.step(states[i])
     for got, expect in zip(states, fresh):
         np.testing.assert_array_equal(fields(got), expect)
+    for (mesh, _, _), (nx, ny, _) in zip(live, runs):
+        (Cx, _), (Cy, _), _, _ = mesh.cached(
+            "pressure_dct", lambda mesh: pytest.fail("DCT bases not cached"))
+        assert Cx.shape == (nx, nx) and Cy.shape == (ny, ny)
 
 
 def test_step_report_counts_projection_cg_iterations(monkeypatch, rng):
@@ -191,3 +196,66 @@ def test_step_report_counts_projection_cg_iterations(monkeypatch, rng):
     assert len(passes) == report.inner_iterations
     assert report.solver_iterations["projection"] > 0
     assert report.solver_iterations["projection"] == sum(passes)
+
+
+def shifted_pressure(mesh, w, shift):
+    A = ops.pressure_laplacian(mesh, w)
+    A.data[ops.pressure_pattern(mesh).diagonal] += shift
+    return A
+
+
+@pytest.mark.parametrize("nx, ny, domain", MESHES)
+def test_pressure_preconditioner_inverts_constant_coefficients(rng, nx, ny, domain):
+    """With constant weights the preconditioner is the exact inverse, so
+    PCG stops after at most two iterations on both pressure systems."""
+    mesh = build_rect_mesh(nx, ny, domain)
+    w = np.full(mesh.nedges, 0.7)
+    shift = np.full(mesh.ncells, 0.3)
+    A = shifted_pressure(mesh, w, shift)
+    b = rng.normal(size=mesh.ncells)
+    precond = ops.pressure_preconditioner(mesh, A, shift)
+    assert np.abs(A @ precond(b) - b).max() <= 1e-12 * np.abs(b).max()
+    x, report = cg_solve(A, b, precond=precond)
+    assert report.iterations <= 2
+    assert np.linalg.norm(b - A @ x) <= report.target
+
+    A = ops.pressure_laplacian(mesh, w)
+    b -= b.mean()
+    x, report = neumann_solve(A, b, mesh.cell_volumes,
+                              precond=ops.pressure_preconditioner(mesh, A))
+    assert report.iterations <= 2
+    assert np.linalg.norm(b - A @ x) <= report.target
+    assert abs(mesh.cell_volumes @ x) <= 1e-12 * max(np.abs(x).max(), 1.0)
+
+
+@pytest.mark.parametrize("nx, ny, domain", MESHES)
+def test_pressure_preconditioner_variable_coefficients(rng, nx, ny, domain):
+    """Variable weights and shift: the preconditioned solve still meets the
+    stopping rule, and agrees with a dense solve."""
+    mesh = build_rect_mesh(nx, ny, domain)
+    w = rng.uniform(0.5, 2.0, mesh.nedges)
+    shift = rng.uniform(1e-6, 1e-3, mesh.ncells)
+    A = shifted_pressure(mesh, w, shift)
+    b = rng.normal(size=mesh.ncells)
+    x, report = cg_solve(A, b, SolverConfig(rel_tol=1e-12),
+                         precond=ops.pressure_preconditioner(mesh, A, shift))
+    assert np.linalg.norm(b - A @ x) <= report.target
+    expect = np.linalg.solve(A.toarray(), b)
+    assert np.abs(x - expect).max() <= 1e-8 * np.abs(expect).max()
+
+
+def test_pressure_cg_counts_do_not_grow_with_the_mesh():
+    """Renormalization plus projection CG iterations per step of the smooth
+    flow vary by less than 2x from 20^2 to 80^2 (Jacobi-CG doubled them
+    with every refinement)."""
+    case = ver.SmoothFlowCase()
+    per_step = []
+    for n in (20, 40, 80):
+        mesh = build_rect_mesh(n, n, case.domain)
+        counts = []
+        sch.Stepper(mesh, ver.make_config(case, 0.0125)).run(
+            ver.initial_exact_state(case, mesh), 3,
+            lambda k, state, report: counts.append(
+                report.solver_iterations["renorm"] + report.solver_iterations["projection"]))
+        per_step.append(np.mean(counts))
+    assert max(per_step) < 2.0 * min(per_step), per_step
