@@ -254,8 +254,10 @@ def _cmd_stability(cfg):
     os.makedirs(cfg.outdir, exist_ok=True)
     ledger.write_csv(os.path.join(cfg.outdir, "ledger.csv"))
     ok, worst, step = diag.energy_bound_check(ledger)
+    _, worst_dec, step_dec = diag.energy_decrement_check(ledger)
     print(f"stability: {nsteps} steps, dt={cfg.dt}, eos={cfg.eos}; "
-          f"worst relative margin {worst:.3e} at step {step}")
+          f"worst relative margin {worst:.3e} at step {step}; "
+          f"worst per-step decrement margin {worst_dec:.3e} at step {step_dec}")
     if not ok:
         print("energy bound VIOLATED", file=sys.stderr)
         return 1

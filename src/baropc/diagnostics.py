@@ -12,7 +12,8 @@ larger side, so tolerances are mesh independent):
   velocity satisfy the upwind cell mass balance;
 * energy_bound_check -- the global per-step energy bound of the scheme
   (kinetic + elastic + cumulated viscous dissipation + weighted pressure
-  semi-norm), for zero forcing and zero boundary data.
+  semi-norm), for zero forcing and zero boundary data;
+  energy_decrement_check is its sharper per-step form.
 """
 
 import numpy as np
@@ -233,3 +234,23 @@ def energy_bound_check(ledger, slack=1e-10):
     first = 1 if rel.size > 1 else 0
     worst = first + int(np.argmin(rel[first:]))
     return bool(np.all(rel >= -slack)), float(rel[worst]), worst
+
+
+def energy_decrement_check(ledger, slack=1e-10):
+    """Verify lhs(n) <= lhs(n-1) for every recorded step n >= 1.
+
+    This is the per-step form of the estimate, of which energy_bound_check
+    is the sum: a step that gains energy fails here even while the bound
+    on the initial energy still holds.  Returns (ok, worst_relative_margin,
+    worst_step), margins relative to the larger of |lhs(n-1)|, |lhs(n)|;
+    a ledger with the initial row only gives (True, 0.0, 0).  Only
+    meaningful for zero-forcing, zero-boundary runs.
+    """
+    lhs, _ = ledger.bound_sides()
+    if lhs.size < 2:
+        return True, 0.0, 0
+    scale = np.maximum(np.abs(lhs[1:]), np.abs(lhs[:-1]))
+    scale[scale < _TINY] = _TINY
+    rel = (lhs[:-1] - lhs[1:]) / scale
+    worst = int(np.argmin(rel))
+    return bool(np.all(rel >= -slack)), float(rel[worst]), worst + 1

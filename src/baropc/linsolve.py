@@ -3,14 +3,17 @@
 Preconditioned conjugate gradients for the symmetric positive
 (semi-)definite pressure systems, BiCGStab for the nonsymmetric
 transport/momentum systems, and a null-space aware variant of CG for the
-singular Neumann-type renormalization operator.  CG takes an optional
-preconditioner callable r -> z (the stepper passes the fast-Poisson one of
-`operators.pressure_preconditioner`); without one, and always in BiCGStab,
-the preconditioner is the diagonal named in `SolverConfig`.  Everything
-reports iteration counts and final residuals; non-convergence and
-non-finite recurrences raise with the residual history attached.
+singular Neumann-type renormalization operator.  CG and BiCGStab take an
+optional preconditioner callable r -> z (the stepper passes the
+fast-Poisson one of `operators.pressure_preconditioner` to CG, and the
+sine-transform one of `operators.momentum_preconditioner` to the momentum
+BiCGStab when viscosity dominates); without one, the preconditioner is the
+diagonal named in `SolverConfig`.  Everything reports iteration counts and
+final residuals; non-convergence and non-finite recurrences raise with the
+residual history attached.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,8 +134,13 @@ def cg_solve(A, b, config=None, x0=None, precond=None, _project=None):
         f"target {target:.3e})", history)
 
 
-def bicgstab_solve(A, b, config=None, x0=None):
-    """BiCGStab for general nonsingular A, diagonal preconditioning."""
+def bicgstab_solve(A, b, config=None, x0=None, precond=None):
+    """Right-preconditioned BiCGStab for general nonsingular A.
+
+    Same stopping rule as cg_solve.  `precond` maps a vector r to
+    z ~ A^-1 r; by default it is the diagonal preconditioner of `config`.
+    A non-finite recurrence scalar or residual raises at once.
+    """
     config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
@@ -140,7 +148,15 @@ def bicgstab_solve(A, b, config=None, x0=None):
     n = b.size
     target = max(config.rel_tol * np.linalg.norm(b), config.abs_tol)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    minv = _diag_inverse(A, config)
+    if precond is None:
+        minv = _diag_inverse(A, config)
+        precond = (lambda r: r) if minv is None else (lambda r: minv * r)
+
+    def check(k, name, value):
+        if not math.isfinite(value):
+            raise LinearSolverError(
+                f"BiCGStab recurrence not finite at iteration {k}: {name} = {value:.3e}",
+                history)
 
     r = b - A @ x
     history = [np.linalg.norm(r)]
@@ -154,6 +170,7 @@ def bicgstab_solve(A, b, config=None, x0=None):
     maxit = config.iterations(n)
     for k in range(1, maxit + 1):
         rho_new = rhat @ r
+        check(k, "rho", rho_new)
         if rho_new == 0.0 or (omega == 0.0 and k > 1):
             # stagnated shadow residual: restart from the current iterate
             r = b - A @ x
@@ -167,9 +184,10 @@ def bicgstab_solve(A, b, config=None, x0=None):
         beta = (rho_new / rho) * (alpha / omega) if k > 1 else 0.0
         rho = rho_new
         p = r + beta * (p - omega * v)
-        phat = p if minv is None else minv * p
+        phat = precond(p)
         v = A @ phat
         denom = rhat @ v
+        check(k, "rhat.v", denom)
         if denom == 0.0:
             raise LinearSolverError(f"BiCGStab breakdown at iteration {k}", history)
         alpha = rho / denom
@@ -182,16 +200,19 @@ def bicgstab_solve(A, b, config=None, x0=None):
                 return x, SolveReport(k, res, target, True, history)
             r = b - A @ x
             continue
-        shat = s if minv is None else minv * s
+        shat = precond(s)
         t = A @ shat
         tt = t @ t
+        check(k, "t.t", tt)
         if tt == 0.0:
             raise LinearSolverError(f"BiCGStab breakdown (t = 0) at iteration {k}", history)
         omega = (t @ s) / tt
+        check(k, "omega", omega)
         x += alpha * phat + omega * shat
         r = s - omega * t
         res = np.linalg.norm(r)
         history.append(res)
+        check(k, "residual", res)
         if res <= target:
             true_res = np.linalg.norm(b - A @ x)
             history[-1] = true_res

@@ -212,23 +212,15 @@ def positions(marks):
 # ----------------------------------------------------------------------
 # viscous stiffness
 
-def viscous_stiffness(mesh, mu):
-    """Broken stiffness mu*grad:grad + (mu/3)*div*div over all edge dofs.
-
-    Assembled cellwise with 2x2 Gauss (exact for the rotated bilinear
-    gradients); returns CSR of size (2*nedges, 2*nedges), flat dof 2*edge
-    + component.  Symmetric positive semi-definite.  Couplings that vanish
-    for every mu are not stored: the pattern depends on the mesh only.
-    """
-    if mu < 0.0:
-        raise FieldError("viscosity must be nonnegative")
+def _viscous_local(mesh, mu):
+    """Cell matrix of the viscous stiffness, dof order (edge slot a,
+    component i) -> 2a + i, and which of its entries are couplings."""
     ref, w = gauss_points_2d(2)
     grads = basis_gradients(ref)                   # (q, 4, 2)
     # reference moments I[a, b, i, j] = int dphi_a/dx_i dphi_b/dx_j
     I = np.einsum("q,qai,qbj->abij", w, grads, grads)
     hx, hy = mesh.hx, mesh.hy
     scale = np.array([[hy / hx, 1.0], [1.0, hx / hy]])
-    # local 8x8, dof order (edge slot a, component i) -> 2a + i
     loc = np.zeros((8, 8))
     coupled = np.zeros((8, 8), dtype=bool)
     for a in range(4):
@@ -241,7 +233,20 @@ def viscous_stiffness(mesh, mu):
                         val += mu * grad_dot
                     loc[2 * a + i, 2 * b + j] = val
                     coupled[2 * a + i, 2 * b + j] = i == j or I[a, b, i, j] != 0.0
+    return loc, coupled
 
+
+def viscous_stiffness(mesh, mu):
+    """Broken stiffness mu*grad:grad + (mu/3)*div*div over all edge dofs.
+
+    Assembled cellwise with 2x2 Gauss (exact for the rotated bilinear
+    gradients); returns CSR of size (2*nedges, 2*nedges), flat dof 2*edge
+    + component.  Symmetric positive semi-definite.  Couplings that vanish
+    for every mu are not stored: the pattern depends on the mesh only.
+    """
+    if mu < 0.0:
+        raise FieldError("viscosity must be nonnegative")
+    loc, coupled = _viscous_local(mesh, mu)
     gdof = np.repeat(2 * mesh.cell_edges, 2, axis=1)
     gdof[:, 1::2] += 1                             # (ncells, 8)
     keep = coupled.ravel()
@@ -252,6 +257,81 @@ def viscous_stiffness(mesh, mu):
     A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     A.sum_duplicates()
     return A
+
+
+def _dirichlet_sines(n):
+    """Sine bases of a uniform 1-D grid of n cells with Dirichlet ends.
+
+    Returns the orthonormal DST-I S1 on the n - 1 inner nodes, the
+    orthonormal DST-II S2 on the n cells, cos(pi k / n) and
+    2 cos(pi k / 2n) for k = 1 .. n-1.  S1 diagonalizes a Dirichlet
+    tridiagonal d I + o (shift up + shift down) on the nodes, with
+    eigenvalues d + 2 o cos(pi k / n); the sum of the two cells next to
+    each node maps DST-II mode k to 2 cos(pi k / 2n) times DST-I mode k,
+    and mode n to zero.
+    """
+    k = np.arange(1, n + 1)
+    S1 = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(k[:-1], k[:-1]) / n)
+    S2 = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(k, k - 0.5) / n)
+    S2[-1] /= np.sqrt(2.0)
+    theta = np.pi * k[:-1] / n
+    return _frozen(S1), _frozen(S2), _frozen(np.cos(theta)), _frozen(2.0 * np.cos(theta / 2.0))
+
+
+def momentum_preconditioner(mesh, mu, mass):
+    """Fast solver r -> z for the interior momentum block, viscous part.
+
+    z is the exact inverse of mass * I + K_c applied to r, on the
+    interior dofs in `scheme` order (interior edges, vertical ones first,
+    two components each).  K_c is the interior block of
+    `viscous_stiffness(mesh, mu)` without the div-div coupling of u1 and
+    u2; since |2 dx u1 dy u2| <= |grad u|^2 pointwise, K_c and the full
+    block are spectrally equivalent with constants 3/4 and 5/4.  Per
+    component, K_c couples each vertical edge with its x-neighbours and
+    with the four horizontal edges of its two cells, and each horizontal
+    edge with its y-neighbours.  Taken with DST-I along the node direction
+    and DST-II along the cell direction of each edge family, vertical mode
+    (k, l) then couples only with horizontal mode (k, l): the inverse is a
+    2x2 solve per mode, 1x1 where k = nx or l = ny has no partner.
+    """
+    nx, ny = mesh.nx, mesh.ny
+
+    def build(mesh):
+        loc, _ = _viscous_local(mesh, 1.0)
+        L, R, B, T = (2 * np.arange(4))[:, None] + np.arange(2)   # dofs of each slot
+        stencil = np.stack([loc[L, L] + loc[R, R],   # vertical diagonal
+                            loc[L, R],               # x-neighbour
+                            loc[B, B] + loc[T, T],   # horizontal diagonal
+                            loc[B, T],               # y-neighbour
+                            loc[L, B]])              # vertical-horizontal, same for L|R, B|T
+        return _dirichlet_sines(nx), _dirichlet_sines(ny), _frozen(stencil)
+    (S1x, S2x, cos_x, fx), (S1y, S2y, cos_y, fy), stencil = mesh.cached("momentum_dst", build)
+    dv, ov, dh, oh, cvh = mu * stencil[:, :, None, None]           # (2, 1, 1) each
+    # spectral arrays are (component, mode l along y, mode k along x)
+    lam_v = np.broadcast_to(mass + dv + 2.0 * ov * cos_x, (2, ny, nx - 1))
+    lam_h = np.broadcast_to(mass + dh + 2.0 * oh * cos_y[:, None], (2, ny - 1, nx))
+    a, d = lam_v[:, :ny - 1], lam_h[:, :, :nx - 1]
+    beta = cvh * fy[:, None] * fx
+    det = a * d - beta * beta
+    inv_v, inv_h = 1.0 / lam_v, 1.0 / lam_h
+    inv_v[:, :ny - 1] = d / det
+    inv_h[:, :, :nx - 1] = a / det
+    inv_vh = -beta / det
+    nv = ny * (nx - 1)
+
+    def apply(r):
+        r = r.reshape(-1, 2)
+        V = S2y @ r[:nv].reshape(ny, nx - 1, 2).transpose(2, 0, 1) @ S1x.T
+        H = S1y @ r[nv:].reshape(ny - 1, nx, 2).transpose(2, 0, 1) @ S2x.T
+        Zv = inv_v * V
+        Zv[:, :ny - 1, :nx - 1] += inv_vh * H[:, :, :nx - 1]
+        Zh = inv_h * H
+        Zh[:, :, :nx - 1] += inv_vh * V[:, :ny - 1, :nx - 1]
+        z = np.empty_like(r)
+        z[:nv] = (S2y.T @ Zv @ S1x).transpose(1, 2, 0).reshape(-1, 2)
+        z[nv:] = (S1y.T @ Zh @ S2x).transpose(1, 2, 0).reshape(-1, 2)
+        return z.ravel()
+    return apply
 
 
 # ----------------------------------------------------------------------

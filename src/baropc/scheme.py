@@ -245,8 +245,16 @@ def predict_velocity(mesh, state, rho_tilde, p_tilde, config,
     idof = plan.idof
     A_ii = inner.fill(vals[inner_from])
     rhs_i = rhs[idof] - outer.fill(vals[outer_from]) @ bc.ravel()[plan.bdof]
+    precond = None
+    if idof.size:
+        # the sine-transform inverse of mean mass + viscous part pays off
+        # when viscosity dominates the diagonal; else Jacobi is as good
+        m_bar = np.mean(m_new[idof])
+        if np.mean(stiffness.data[plan.diagonal[idof]]) > m_bar:
+            precond = ops.momentum_preconditioner(mesh, config.mu, m_bar)
     try:
-        x, report = bicgstab_solve(A_ii, rhs_i, config.lin, x0=state.u.ravel()[idof])
+        x, report = bicgstab_solve(A_ii, rhs_i, config.lin, x0=state.u.ravel()[idof],
+                                   precond=precond)
     except LinearSolverError as err:
         raise SchemeError(f"momentum solve failed: {err}", err.history) from err
     u_tilde = bc.copy()

@@ -92,12 +92,15 @@ def test_criterion_3_unconditional_stability():
             stepper.run(state, 50, on_step=lambda n, s, rep:
                         ledger.record_step(n, s, rep.u_tilde))
             bound_ok, worst, step = diag.energy_bound_check(ledger, slack=1e-10)
+            dec_ok, worst_dec, step_dec = diag.energy_decrement_check(ledger, slack=1e-10)
             mass = np.array([r["total_mass"] for r in ledger.rows])
             mass_ok = np.abs(mass - mass[0]).max() <= 1e-10 * abs(mass[0])
             dens_ok = min(r["min_density"] for r in ledger.rows) > 0.0
-            ok = ok and bound_ok and mass_ok and dens_ok
-            details.append(f"{eos.name}/dt={dt}: margin {worst:.1e}"
-                           f"{'' if bound_ok and mass_ok and dens_ok else ' FAIL'}")
+            case_ok = bound_ok and dec_ok and mass_ok and dens_ok
+            ok = ok and case_ok
+            details.append(f"{eos.name}/dt={dt}: margin {worst:.1e}, per-step "
+                           f"{worst_dec:.2e} at step {step_dec}"
+                           f"{'' if case_ok else ' FAIL'}")
     _report(3, "energy bound, 50 steps", ok, "; ".join(details))
 
 

@@ -88,6 +88,7 @@ def test_stability_command_exit_zero(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "energy bound holds" in out
+    assert "worst per-step decrement margin" in out
     lines = (tmp_path / "ledger.csv").read_text().splitlines()
     assert lines[0].startswith("step,time,kinetic")
     assert len(lines) == 8

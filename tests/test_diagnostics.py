@@ -227,6 +227,33 @@ def test_energy_bound_check_reports_worst_step_after_start(rng):
     assert diag.energy_bound_check(ledger) == (True, 0.0, 0)
 
 
+def test_energy_decrement_check_catches_a_step_that_gains_energy(rng):
+    mesh = build_rect_mesh(4, 4)
+    eos = PowerLaw(1.4)
+    cfg = sch.SchemeConfig(dt=0.25, mu=1e-2, eos=eos, lin=SolverConfig(rel_tol=1e-12))
+    rho = smooth_cell_field(mesh, rng)
+    state = sch.SchemeState(0.0, zero_boundary_velocity(mesh, rng, 0.5), eos.pressure(rho),
+                            rho, ops.edge_density(mesh, rho))
+    stepper = sch.Stepper(mesh, cfg)
+    ledger = diag.EnergyLedger(mesh, cfg, stepper.stiffness)
+    ledger.record_initial(state)
+    stepper.run(state, 4, on_step=lambda n, s, rep: ledger.record_step(n, s, rep.u_tilde))
+    ok, worst, step = diag.energy_decrement_check(ledger)
+    lhs, rhs0 = ledger.bound_sides()
+    assert ok and worst > 0.0 and 1 <= step <= 4
+    assert worst == pytest.approx(np.min((lhs[:-1] - lhs[1:]) / lhs[:-1]), rel=1e-12)
+
+    # step 3 ends halfway between the energies of steps 2 and 0: it gains
+    # energy, yet stays inside the bound
+    ledger.rows[3]["kinetic"] += (lhs[2] - lhs[3]) + 0.5 * (lhs[0] - lhs[2])
+    assert diag.energy_bound_check(ledger)[0]
+    ok, worst, step = diag.energy_decrement_check(ledger)
+    assert not ok and worst < 0.0 and step == 3
+
+    ledger.rows = ledger.rows[:1]
+    assert diag.energy_decrement_check(ledger) == (True, 0.0, 0)
+
+
 def test_ledger_csv_roundtrip(tmp_path):
     ledger = _equilibrium_ledger(build_rect_mesh(3, 3), AffineLaw(), nsteps=2)
     ledger.fill_margins()

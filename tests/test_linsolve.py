@@ -122,6 +122,32 @@ def test_bicgstab_advection_diffusion_against_dense(rng):
     assert np.linalg.norm(b - A @ x) <= report.target
 
 
+def test_bicgstab_takes_a_preconditioner():
+    n = 30
+    A = _poisson_1d(n) + 0.8 * sp.diags([np.ones(n - 1), -np.ones(n - 1)], [1, -1])
+    inverse = np.linalg.inv(A.toarray())
+    b = np.linspace(-1.0, 2.0, n)
+    x, report = bicgstab_solve(A.tocsr(), b, precond=lambda r: inverse @ r)
+    assert report.iterations == 1
+    assert np.linalg.norm(b - A @ x) <= report.target
+
+
+def test_bicgstab_nonfinite_matrix_entry_raises_early():
+    A = _poisson_1d(40).tolil()
+    A[7, 8] = np.nan
+    with pytest.raises(LinearSolverError, match="not finite") as err:
+        bicgstab_solve(A.tocsr(), np.ones(40), SolverConfig(max_iter=1000))
+    assert 1 <= len(err.value.history) <= 2
+
+
+def test_bicgstab_nonfinite_preconditioner_raises_early():
+    A = _poisson_1d(40)
+    with pytest.raises(LinearSolverError, match="not finite") as err:
+        bicgstab_solve(A, np.ones(40), SolverConfig(max_iter=1000),
+                       precond=lambda r: np.full_like(r, np.nan))
+    assert 1 <= len(err.value.history) <= 2
+
+
 def test_bicgstab_singular_system_fails():
     A = sp.csr_matrix(np.diag([1.0, 1.0, 0.0]))
     with pytest.raises(LinearSolverError):
