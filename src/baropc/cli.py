@@ -15,7 +15,6 @@ file value.  Exit codes: 0 success, 1 numerical failure, 2 usage error.
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,64 +32,34 @@ class ConfigError(ValueError):
     pass
 
 
-_DEFAULTS = {
-    "mesh": "20x20",
-    "domain": "0,1,-0.5,0.5",
-    "dt": 0.025,
-    "t_end": 0.5,
-    "steps": None,          # overrides t_end when given (stability)
-    "mu": 1e-2,
-    "eos": "affine",
-    "gamma": 1.4,
-    "mach": 0.5,
-    "convection": "centered",
-    "proj_eps": 1e-8,
-    "alpha": 1.0,
-    "lin_tol": 1e-10,
-    "lin_maxit": None,
-    "outdir": ".",
-    "seed": 0,
-    "dt_list": None,        # convergence study
-    "mesh_list": None,
-}
-
-_INT_KEYS = {"steps", "seed", "lin_maxit"}
-_FLOAT_KEYS = {"dt", "t_end", "mu", "gamma", "mach", "proj_eps", "alpha", "lin_tol"}
-_POSITIVE = {"dt", "t_end", "mu", "gamma", "mach", "proj_eps", "alpha", "lin_tol"}
+class _OutOfRange(ValueError):
+    pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    values: dict = field(default_factory=dict)
-
-    def __getattr__(self, key):
-        try:
-            return self.values[key]
-        except KeyError:
-            raise AttributeError(key)
+def _number(sign):
+    """Parser of a finite float that is "positive" (> 0) or "nonnegative" (>= 0)."""
+    def parse(raw):
+        value = float(raw)
+        if not np.isfinite(value) or value < 0.0 or (value == 0.0 and sign == "positive"):
+            raise _OutOfRange(sign)
+        return value
+    return parse
 
 
-def _parse_value(key, raw, lineno=None):
-    where = f" (line {lineno})" if lineno is not None else ""
-    if key not in _DEFAULTS:
-        raise ConfigError(f"unknown config key '{key}'{where}")
-    raw = raw.strip()
-    if raw.lower() in ("none", ""):
-        return None
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            value = float(raw)
-        else:
-            value = raw
-    except ValueError:
-        raise ConfigError(f"malformed value for '{key}'{where}: {raw!r}")
-    if key in _POSITIVE:
-        if not np.isfinite(value) or value <= 0.0:
-            raise ConfigError(f"'{key}' must be positive and finite{where}, got {raw}")
-    return value
+def _optional(parse):
+    return lambda raw: None if raw.lower() in ("none", "") else parse(raw)
+
+
+def _list(parse):
+    return _optional(lambda raw: [parse(v) for v in raw.split(";")])
+
+
+def _choice(key, *names):
+    def parse(raw):
+        if raw not in names:
+            raise ConfigError(f"unknown {key} '{raw}'")
+        return raw
+    return parse
 
 
 def _parse_mesh(text):
@@ -106,18 +75,54 @@ def _parse_mesh(text):
 
 def _parse_domain(text):
     try:
-        vals = tuple(float(v) for v in text.split(","))
-        assert len(vals) == 4
-    except Exception:
+        x0, x1, y0, y1 = vals = tuple(float(v) for v in text.split(","))
+    except ValueError:
         raise ConfigError(f"malformed domain '{text}', expected x0,x1,y0,y1")
-    if not (vals[1] > vals[0] and vals[3] > vals[2]):
+    if not (x1 > x0 and y1 > y0):
         raise ConfigError(f"degenerate or inverted domain '{text}'")
     return vals
 
 
+# key -> (parser of the raw text, default text, flag help); the flag of
+# each key is its name with "-" for "_"
+_KEYS = {
+    "mesh": (_parse_mesh, "20x20", "cells, e.g. 20x20"),
+    "domain": (_parse_domain, "0,1,-0.5,0.5", "x0,x1,y0,y1"),
+    "dt": (_number("positive"), "0.025", "time step"),
+    "t_end": (_number("positive"), "0.5", "final time"),
+    "steps": (_optional(int), "none", "number of steps (stability)"),
+    "mu": (_number("nonnegative"), "1e-2", "viscosity"),
+    "eos": (_choice("eos", "affine", "power", "linear"), "affine", "affine | power | linear"),
+    "gamma": (_number("positive"), "1.4", "adiabatic exponent"),
+    "mach": (_number("positive"), "0.5", "Mach parameter of the affine law"),
+    "convection": (_choice("convection", "centered", "upwind"), "centered", "centered | upwind"),
+    "proj_eps": (_number("positive"), "1e-8", "projection tolerance"),
+    "alpha": (_number("positive"), "1.0", "projection relaxation in (0,1]"),
+    "lin_tol": (_number("positive"), "1e-10", "linear solver tolerance"),
+    "lin_maxit": (_optional(int), "none", "linear solver iteration cap"),
+    "outdir": (str, ".", "output directory"),
+    "seed": (int, "0", "perturbation seed (stability)"),
+    "dt_list": (_list(_number("positive")), "none", "semicolon-separated dts (convergence)"),
+    "mesh_list": (_list(_parse_mesh), "none", "semicolon-separated meshes (convergence)"),
+}
+
+
+def _parse_value(key, raw, where):
+    try:
+        return _KEYS[key][0](raw)
+    except _OutOfRange as err:
+        raise ConfigError(f"'{key}' must be {err} and finite{where}, got {raw}")
+    except ConfigError:
+        raise
+    except ValueError:
+        raise ConfigError(f"malformed value for '{key}'{where}: {raw!r}")
+
+
 def parse_config(command, path=None, overrides=None):
-    """Merge defaults, a key=value file and flag overrides; flags win."""
-    values = dict(_DEFAULTS)
+    """Merge defaults, a key=value file and flag overrides (flags win), then
+    parse the text each key ends with by its parser in `_KEYS`."""
+    raw = {key: (text, "") for key, (_, text, _) in _KEYS.items()}
+    entries = []
     if path is not None:
         try:
             lines = open(path).read().splitlines()
@@ -129,36 +134,49 @@ def parse_config(command, path=None, overrides=None):
                 continue
             if "=" not in line:
                 raise ConfigError(f"malformed line {lineno}: {line!r}")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            values[key] = _parse_value(key, raw, lineno)
-    for key, raw in (overrides or {}).items():
-        if raw is None:
-            continue
-        values[key] = _parse_value(key, str(raw))
-    values["mesh"] = _parse_mesh(values["mesh"])
-    values["domain"] = _parse_domain(values["domain"])
-    if values["convection"] not in ("centered", "upwind"):
-        raise ConfigError(f"unknown convection '{values['convection']}'")
-    if values["eos"] not in ("affine", "power", "linear"):
-        raise ConfigError(f"unknown eos '{values['eos']}'")
-    if values["dt_list"] is not None and isinstance(values["dt_list"], str):
-        values["dt_list"] = [
-            _parse_value("dt", v) for v in values["dt_list"].split(";")]
-    if values["mesh_list"] is not None and isinstance(values["mesh_list"], str):
-        values["mesh_list"] = [_parse_mesh(v) for v in values["mesh_list"].split(";")]
-    return RunConfig(command, values)
+            key, text = line.split("=", 1)
+            entries.append((key.strip(), text, f" (line {lineno})"))
+    entries += [(key, str(text), "") for key, text in (overrides or {}).items()
+                if text is not None]
+    for key, text, where in entries:
+        if key not in _KEYS:
+            raise ConfigError(f"unknown config key '{key}'{where}")
+        raw[key] = (text.strip(), where)
+    return argparse.Namespace(
+        command=command, **{key: _parse_value(key, *raw[key]) for key in _KEYS})
+
+
+_ROWS = 4096        # rows per formatted block: bounds the temporary Python floats
 
 
 def _write_fields_csv(path, mesh, state):
     with open(path, "w") as fh:
         fh.write("kind,x,y,rho,p,u1,u2\n")
-        f = lambda v: format(float(v), ".17g")
-        for k in range(mesh.ncells):
-            x, y = mesh.cell_centroids[k]
-            fh.write(f"cell,{f(x)},{f(y)},{f(state.rho[k])},{f(state.p[k])},,\n")
-        for e in range(mesh.nedges):
-            x, y = mesh.edge_midpoints[e]
-            fh.write(f"edge,{f(x)},{f(y)},,,{f(state.u[e,0])},{f(state.u[e,1])}\n")
+        for row, table in (
+                ("cell,%.17g,%.17g,%.17g,%.17g,,\n",
+                 np.column_stack([mesh.cell_centroids, state.rho, state.p])),
+                ("edge,%.17g,%.17g,,,%.17g,%.17g\n",
+                 np.column_stack([mesh.edge_midpoints, state.u]))):
+            for i in range(0, len(table), _ROWS):
+                fh.write("".join(row % tuple(r) for r in table[i:i + _ROWS].tolist()))
+
+
+def _advance_with_ledger(mesh, config, state, nsteps, outdir):
+    """Advance `nsteps` steps and write the energy ledger to `outdir`.
+
+    The energy bound applies to unforced runs only; under a forcing the
+    ledger is still written, with empty margins.
+    """
+    stepper = Stepper(mesh, config)
+    ledger = diag.EnergyLedger(mesh, config, stepper.stiffness)
+    ledger.record_initial(state)
+    state = stepper.run(state, nsteps,
+                        on_step=lambda n, s, rep: ledger.record_step(n, s, rep.u_tilde))
+    if config.forcing_rhs is None:
+        ledger.fill_margins()
+    os.makedirs(outdir, exist_ok=True)
+    ledger.write_csv(os.path.join(outdir, "ledger.csv"))
+    return state, ledger
 
 
 def _cmd_simulate(cfg):
@@ -171,17 +189,8 @@ def _cmd_simulate(cfg):
     config = make_config(case, cfg.dt, lin_tol=cfg.lin_tol,
                          proj_eps=cfg.proj_eps, convection=cfg.convection,
                          alpha=cfg.alpha)
-    nsteps = int(round(cfg.t_end / cfg.dt))
-    state = initial_exact_state(case, mesh)
-    stepper = Stepper(mesh, config)
-    ledger = diag.EnergyLedger(mesh, config, stepper.stiffness)
-    ledger.record_initial(state)
-    state = stepper.run(state, nsteps,
-                        on_step=lambda n, s, rep: ledger.record_step(n, s, rep.u_tilde))
-    # with the manufactured forcing the energy bound does not apply; the
-    # ledger is still emitted with empty margins
-    os.makedirs(cfg.outdir, exist_ok=True)
-    ledger.write_csv(os.path.join(cfg.outdir, "ledger.csv"))
+    state, _ = _advance_with_ledger(mesh, config, initial_exact_state(case, mesh),
+                                    int(round(cfg.t_end / cfg.dt)), cfg.outdir)
     _write_fields_csv(os.path.join(cfg.outdir, "fields.csv"), mesh, state)
     err_v, err_p = error_norms(mesh, state, case)
     print(f"simulate: {nx}x{ny}, dt={cfg.dt}, t_end={state.t}")
@@ -236,23 +245,15 @@ def perturbed_initial_state(mesh, eos, seed, rho_amp=0.3, u_max=0.5):
 
 
 def _cmd_stability(cfg):
-    nx, ny = cfg.mesh
-    mesh = build_rect_mesh(nx, ny, cfg.domain)
+    mesh = build_rect_mesh(*cfg.mesh, cfg.domain)
     eos = make_eos(cfg.eos, cfg.gamma, cfg.mach)
     config = SchemeConfig(dt=cfg.dt, mu=cfg.mu, eos=eos,
                           convection=cfg.convection, proj_eps=cfg.proj_eps, alpha=cfg.alpha,
                           lin=SolverConfig(rel_tol=cfg.lin_tol, abs_tol=1e-14,
                                            max_iter=cfg.lin_maxit))
-    state = perturbed_initial_state(mesh, eos, cfg.seed)
     nsteps = cfg.steps if cfg.steps is not None else int(round(cfg.t_end / cfg.dt))
-    stepper = Stepper(mesh, config)
-    ledger = diag.EnergyLedger(mesh, config, stepper.stiffness)
-    ledger.record_initial(state)
-    stepper.run(state, nsteps,
-                on_step=lambda n, s, rep: ledger.record_step(n, s, rep.u_tilde))
-    ledger.fill_margins()
-    os.makedirs(cfg.outdir, exist_ok=True)
-    ledger.write_csv(os.path.join(cfg.outdir, "ledger.csv"))
+    _, ledger = _advance_with_ledger(mesh, config, perturbed_initial_state(mesh, eos, cfg.seed),
+                                     nsteps, cfg.outdir)
     ok, worst, step = diag.energy_bound_check(ledger)
     _, worst_dec, step_dec = diag.energy_decrement_check(ledger)
     print(f"stability: {nsteps} steps, dt={cfg.dt}, eos={cfg.eos}; "
@@ -265,58 +266,31 @@ def _cmd_stability(cfg):
     return 0
 
 
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "run the smooth exact-flow problem"),
+    "convergence": (_cmd_convergence, "time/space convergence study"),
+    "stability": (_cmd_stability, "zero-forcing energy-bound run"),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="baropc",
         description="Pressure-correction solver for 2D compressible barotropic flow")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in (("simulate", "run the smooth exact-flow problem"),
-                        ("convergence", "time/space convergence study"),
-                        ("stability", "zero-forcing energy-bound run")):
+    for name, (_, help_) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("-c", "--config", help="key=value config file")
-        p.add_argument("--mesh", help="cells, e.g. 20x20")
-        p.add_argument("--domain", help="x0,x1,y0,y1")
-        p.add_argument("--dt", help="time step")
-        p.add_argument("--t-end", dest="t_end", help="final time")
-        p.add_argument("--steps", help="number of steps (stability)")
-        p.add_argument("--mu", help="viscosity")
-        p.add_argument("--eos", help="affine | power | linear")
-        p.add_argument("--gamma", help="adiabatic exponent")
-        p.add_argument("--mach", help="Mach parameter of the affine law")
-        p.add_argument("--convection", help="centered | upwind")
-        p.add_argument("--proj-eps", dest="proj_eps", help="projection tolerance")
-        p.add_argument("--alpha", help="projection relaxation in (0,1]")
-        p.add_argument("--lin-tol", dest="lin_tol", help="linear solver tolerance")
-        p.add_argument("--lin-maxit", dest="lin_maxit", help="linear solver iteration cap")
-        p.add_argument("--outdir", help="output directory")
-        p.add_argument("--seed", help="perturbation seed (stability)")
-        p.add_argument("--dt-list", dest="dt_list",
-                       help="semicolon-separated dts (convergence)")
-        p.add_argument("--mesh-list", dest="mesh_list",
-                       help="semicolon-separated meshes (convergence)")
+        for key, (_, _, flag_help) in _KEYS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=flag_help)
     return parser
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "convergence": _cmd_convergence,
-    "stability": _cmd_stability,
-}
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config")}
+    args = build_parser().parse_args(argv)
+    overrides = {key: getattr(args, key) for key in _KEYS}
     try:
-        cfg = parse_config(args.command, args.config, overrides)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](parse_config(args.command, args.config, overrides))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -7,8 +7,8 @@ singular Neumann-type renormalization operator.  CG and BiCGStab take an
 optional preconditioner callable r -> z (the stepper passes the
 fast-Poisson one of `operators.pressure_preconditioner` to CG, and the
 sine-transform one of `operators.momentum_preconditioner` to the momentum
-BiCGStab when viscosity dominates); without one, the preconditioner is the
-diagonal named in `SolverConfig`.  Everything reports iteration counts and
+BiCGStab when viscosity dominates); without one, they use the Jacobi
+(diagonal) preconditioner.  Everything reports iteration counts and
 final residuals; non-convergence and non-finite recurrences raise with the
 residual history attached.
 """
@@ -30,13 +30,10 @@ class SolverConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_iter: int | None = None          # default 10 * unknown count
-    preconditioner: str = "diagonal"     # "none" | "diagonal"
 
     def __post_init__(self):
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("solver tolerances must be positive")
-        if self.preconditioner not in ("none", "diagonal"):
-            raise ValueError(f"unknown preconditioner '{self.preconditioner}'")
 
     def iterations(self, n):
         return self.max_iter if self.max_iter is not None else max(50, 10 * n)
@@ -51,13 +48,12 @@ class SolveReport:
     history: list = field(default_factory=list)
 
 
-def _diag_inverse(A, config):
-    if config.preconditioner == "none":
-        return None
+def _jacobi(A):
+    """The preconditioner r -> r / diag(A), with zero diagonal entries read as 1."""
     d = A.diagonal().copy()
-    small = np.abs(d) < 1e-300
-    d[small] = 1.0
-    return 1.0 / d
+    d[np.abs(d) < 1e-300] = 1.0
+    minv = 1.0 / d
+    return lambda r: minv * r
 
 
 def cg_solve(A, b, config=None, x0=None, precond=None, _project=None):
@@ -65,8 +61,8 @@ def cg_solve(A, b, config=None, x0=None, precond=None, _project=None):
 
     Stops when ||b - A x|| <= max(rel_tol * ||b||, abs_tol).  `precond`
     maps a residual r to z ~ A^-1 r and must be symmetric positive
-    definite on the range of A; by default it is the diagonal preconditioner
-    of `config`.  `_project` is an optional per-iteration hook applied to
+    definite on the range of A; by default it is the Jacobi (diagonal)
+    preconditioner.  `_project` is an optional per-iteration hook applied to
     the iterate, used by neumann_solve to pin the constant null-space
     component.
     """
@@ -79,9 +75,7 @@ def cg_solve(A, b, config=None, x0=None, precond=None, _project=None):
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     if _project is not None:
         x = _project(x)
-    if precond is None:
-        minv = _diag_inverse(A, config)
-        precond = (lambda r: r) if minv is None else (lambda r: minv * r)
+    precond = precond or _jacobi(A)
 
     r = b - A @ x
     history = [np.linalg.norm(r)]
@@ -138,7 +132,7 @@ def bicgstab_solve(A, b, config=None, x0=None, precond=None):
     """Right-preconditioned BiCGStab for general nonsingular A.
 
     Same stopping rule as cg_solve.  `precond` maps a vector r to
-    z ~ A^-1 r; by default it is the diagonal preconditioner of `config`.
+    z ~ A^-1 r; by default it is the Jacobi (diagonal) preconditioner.
     A non-finite recurrence scalar or residual raises at once.
     """
     config = config or SolverConfig()
@@ -148,9 +142,7 @@ def bicgstab_solve(A, b, config=None, x0=None, precond=None):
     n = b.size
     target = max(config.rel_tol * np.linalg.norm(b), config.abs_tol)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    if precond is None:
-        minv = _diag_inverse(A, config)
-        precond = (lambda r: r) if minv is None else (lambda r: minv * r)
+    precond = precond or _jacobi(A)
 
     def check(k, name, value):
         if not math.isfinite(value):

@@ -123,9 +123,6 @@ class RectMesh:
         self.interior_edges = np.nonzero(~self.edge_is_boundary)[0]
         self.boundary_edges = np.nonzero(self.edge_is_boundary)[0]
         self.n_interior = self.interior_edges.size
-        idx = np.full(ne, -1, dtype=np.int64)
-        idx[self.interior_edges] = np.arange(self.n_interior)
-        self.interior_index = idx
 
         # per-cell edge list [left, right, bottom, top] and the sign such
         # that sign * edge_normal is the outward normal n_{K,sigma}

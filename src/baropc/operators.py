@@ -94,10 +94,10 @@ def cell_quadrature_points(mesh, n):
     return pts, w * (mesh.hx * mesh.hy / 4.0)
 
 
-def edge_mean(mesh, func, t=None, n=3):
+def edge_mean(mesh, func, n=3):
     """Edge-mean functionals of a pointwise field, one row per edge.
 
-    `func(points[, t])` must accept an (m, 2) array of points and return
+    `func(points)` must accept an (m, 2) array of points and return
     (m,) or (m, d) values.  Used to set velocity data and initial states.
     For a given mesh and n the points are the same read-only array.
     """
@@ -107,8 +107,7 @@ def edge_mean(mesh, func, t=None, n=3):
                + mesh.edge_p1[:, None, :] * (1.0 + x[None, :, None]) / 2.0)
         return _frozen(pts.reshape(-1, 2)), w / 2.0     # means, not integrals
     flat, w = mesh.cached(("edge_points", n), build)
-    vals = func(flat) if t is None else func(flat, t)
-    vals = np.asarray(vals, dtype=float)
+    vals = np.asarray(func(flat), dtype=float)
     vals = vals.reshape(mesh.nedges, w.size, -1)
     out = np.einsum("q,eqd->ed", w, vals)
     return out[:, 0] if out.shape[1] == 1 else out
@@ -377,21 +376,14 @@ def _subedge_matrix(mesh, a, mode):
     return subedge_pattern(mesh).fill(np.concatenate(vals))
 
 
-def convection_matrix(mesh, fluxes, mode="centered", tol=1e-10):
+def convection_matrix(mesh, fluxes, mode="centered"):
     """Momentum convection matrix from per-sub-edge mass fluxes.
 
-    `fluxes` is either (nsub,) oriented out of sub_pair[:, 0], or (nsub, 2)
-    carrying both orientations, in which case antisymmetry is checked.
-    Both velocity components get the same scalar stencil; the returned CSR
-    acts on flat dofs 2*edge + component over all edges.
+    `fluxes` is (nsub,), oriented out of sub_pair[:, 0].  Both velocity
+    components get the same scalar stencil; the returned CSR acts on flat
+    dofs 2*edge + component over all edges.
     """
-    fluxes = np.asarray(fluxes, dtype=float)
-    if fluxes.ndim == 2:
-        scale = np.max(np.abs(fluxes)) or 1.0
-        if np.max(np.abs(fluxes[:, 0] + fluxes[:, 1])) > tol * scale:
-            raise FieldError("sub-edge fluxes are not antisymmetric")
-        fluxes = fluxes[:, 0]
-    C = _subedge_matrix(mesh, fluxes, mode)
+    C = _subedge_matrix(mesh, np.asarray(fluxes, dtype=float), mode)
 
     def build(mesh):   # kron(C, I2): its pattern and the scalar entry of each entry
         K = sp.kron(marker(C), sp.identity(2, format="csr"), format="csr")

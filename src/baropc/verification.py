@@ -59,10 +59,6 @@ class SmoothFlowCase:
         s1, c1, s2, c2, st, ct = self._trig(x, t)
         return 1.0 + 0.25 * st * (c1 - s2)
 
-    def grad_rho(self, x, t):
-        s1, c1, s2, c2, st, ct = self._trig(x, t)
-        return 0.25 * st * np.stack([-_PI * s1, -_PI * c2], axis=-1)
-
     def momentum(self, x, t):
         s1, c1, s2, c2, st, ct = self._trig(x, t)
         return -0.25 * ct * np.stack([s1, c2], axis=-1)
@@ -73,13 +69,6 @@ class SmoothFlowCase:
 
     def pressure(self, x, t):
         return self.eos.pressure(self.rho(x, t))
-
-    def grad_pressure(self, x, t):
-        return self.grad_rho(x, t) / self.eos.coeff
-
-    def forcing(self, x, t):
-        """Analytic momentum residual of the exact fields."""
-        return self.forcing_rest(x, t) + self.grad_pressure(x, t)
 
     def forcing_rest(self, x, t):
         """Forcing minus its exact pressure-gradient part.
@@ -197,10 +186,10 @@ def error_norms(mesh, state, case, quad_order=3):
 # study drivers
 
 def make_config(case, dt, lin_tol=1e-10, proj_eps=1e-8, convection="centered",
-                alpha=1.0, proj_maxit=100):
+                alpha=1.0):
     return SchemeConfig(
         dt=dt, mu=case.mu, eos=case.eos, convection=convection,
-        proj_eps=proj_eps, proj_maxit=proj_maxit, alpha=alpha,
+        proj_eps=proj_eps, alpha=alpha,
         lin=SolverConfig(rel_tol=lin_tol, abs_tol=1e-14),
         boundary_values=boundary_provider(case),
         forcing_rhs=forcing_provider(case),
@@ -280,7 +269,7 @@ def _study_cell(job):
 
 
 def convergence_study(mesh_sizes, dts, t_end=0.5, case=None, domain=None,
-                      progress=None, **config_kwargs):
+                      **config_kwargs):
     """Run the exact-flow problem on every (mesh, dt) pair.
 
     Returns (rows, orders): one row per run with the errors at t_end,
@@ -301,11 +290,7 @@ def convergence_study(mesh_sizes, dts, t_end=0.5, case=None, domain=None,
         with ProcessPoolExecutor(max_workers=nthreads) as pool:
             rows = list(pool.map(_study_cell, jobs))
     else:
-        rows = []
-        for job in jobs:
-            rows.append(_study_cell(job))
-            if progress is not None:
-                progress(rows[-1])
+        rows = [_study_cell(job) for job in jobs]
 
     orders = {}
     for nx, ny in mesh_sizes:

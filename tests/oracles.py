@@ -76,7 +76,7 @@ def div_matrix_interior(mesh):
     negative transpose of this matrix is the gradient on interior edges.
     """
     internal = mesh.interior_edges
-    pos = mesh.interior_index[internal]
+    pos = np.arange(internal.size)      # position among the interior edges
     K = mesh.edge_cells[internal, 0]
     L = mesh.edge_cells[internal, 1]
     coeff = mesh.edge_lengths[internal][:, None] * mesh.edge_normals[internal]
@@ -188,6 +188,22 @@ def drho_dt(case, x, t):
     """d rho / dt of SmoothFlowCase."""
     return 0.25 * np.pi * np.cos(np.pi * t) * (np.cos(np.pi * x[..., 0])
                                                - np.sin(np.pi * x[..., 1]))
+
+
+def grad_rho(case, x, t):
+    """Spatial gradient of rho of SmoothFlowCase."""
+    s1, _, _, c2 = case.spatial(x)
+    return 0.25 * np.sin(np.pi * t) * np.stack([-np.pi * s1, -np.pi * c2], axis=-1)
+
+
+def grad_pressure(case, x, t):
+    """Spatial gradient of the affine-law pressure of SmoothFlowCase."""
+    return grad_rho(case, x, t) / case.eos.coeff
+
+
+def forcing(case, x, t):
+    """Analytic momentum residual of the exact fields of SmoothFlowCase."""
+    return case.forcing_rest(x, t) + grad_pressure(case, x, t)
 
 
 def jac_momentum(case, x, t):

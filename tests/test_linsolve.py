@@ -47,7 +47,7 @@ def test_cg_nonconvergence_carries_history():
     A = _poisson_1d(40)
     b = np.ones(40)
     with pytest.raises(LinearSolverError) as err:
-        cg_solve(A, b, SolverConfig(rel_tol=1e-14, max_iter=3, preconditioner="none"))
+        cg_solve(A, b, SolverConfig(rel_tol=1e-14, max_iter=3))
     assert len(err.value.history) == 4                 # initial + 3 iterations
 
 
@@ -160,8 +160,6 @@ def test_solver_config_validation():
         SolverConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(preconditioner="ilu")
     cfg = SolverConfig()
     assert cfg.iterations(100) == 1000
     assert SolverConfig(max_iter=7).iterations(100) == 7

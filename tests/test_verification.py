@@ -72,7 +72,7 @@ def test_first_derivatives_against_fd(rng):
     d = 1e-6
     dx = np.zeros_like(x); dx[:, 0] = d
     dy = np.zeros_like(x); dy[:, 1] = d
-    gr = case.grad_rho(x, t)
+    gr = oracles.grad_rho(case, x, t)
     np.testing.assert_allclose(gr[:, 0], (case.rho(x + dx, t) - case.rho(x - dx, t)) / (2 * d), atol=1e-8)
     np.testing.assert_allclose(gr[:, 1], (case.rho(x + dy, t) - case.rho(x - dy, t)) / (2 * d), atol=1e-8)
     np.testing.assert_allclose(oracles.drho_dt(case, x, t),
@@ -113,10 +113,10 @@ def test_forcing_against_fd_residual_oracle(rng):
     graddiv = np.stack([(div_u(x + h2 * dx) - div_u(x - h2 * dx)) / (2 * h2),
                         (div_u(x + h2 * dy) - div_u(x - h2 * dy)) / (2 * h2)], axis=-1)
     oracle = dmdt + conv + gradp - case.mu * lap - case.mu / 3.0 * graddiv
-    got = case.forcing(x, t)
+    got = oracles.forcing(case, x, t)
     assert np.abs(got - oracle).max() <= 1e-5 * max(1.0, np.abs(got).max())
     np.testing.assert_allclose(case.forcing_rest(x, t),
-                               got - case.grad_pressure(x, t), atol=1e-14)
+                               got - oracles.grad_pressure(case, x, t), atol=1e-14)
 
 
 # ----------------------------------------------------------------------
