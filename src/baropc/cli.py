@@ -125,7 +125,8 @@ def parse_config(command, path=None, overrides=None):
     entries = []
     if path is not None:
         try:
-            lines = open(path).read().splitlines()
+            with open(path) as fh:
+                lines = fh.read().splitlines()
         except OSError as err:
             raise ConfigError(f"cannot read config file: {err}")
         for lineno, line in enumerate(lines, 1):
