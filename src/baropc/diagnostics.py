@@ -110,10 +110,11 @@ class EnergyLedger:
         with open(path, "w") as fh:
             fh.write(",".join(LEDGER_COLUMNS) + "\n")
             for row in self.rows:
-                fh.write(",".join(_fmt(row[c]) for c in LEDGER_COLUMNS) + "\n")
+                fh.write(",".join(csv_number(row[c]) for c in LEDGER_COLUMNS) + "\n")
 
 
-def _fmt(value):
+def csv_number(value):
+    """CSV text of a number: integers as such, floats with 17 significant digits."""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")

@@ -56,15 +56,15 @@ def _jacobi(A):
     return lambda r: minv * r
 
 
-def cg_solve(A, b, config=None, x0=None, precond=None, _project=None):
+def cg_solve(A, b, config=None, precond=None, _project=None):
     """Preconditioned conjugate gradients for symmetric positive (semi-)definite A.
 
-    Stops when ||b - A x|| <= max(rel_tol * ||b||, abs_tol).  `precond`
-    maps a residual r to z ~ A^-1 r and must be symmetric positive
-    definite on the range of A; by default it is the Jacobi (diagonal)
-    preconditioner.  `_project` is an optional per-iteration hook applied to
-    the iterate, used by neumann_solve to pin the constant null-space
-    component.
+    Starts from x = 0 and stops when ||b - A x|| <= max(rel_tol * ||b||,
+    abs_tol).  `precond` maps a residual r to z ~ A^-1 r and must be
+    symmetric positive definite on the range of A; by default it is the
+    Jacobi (diagonal) preconditioner.  `_project` is an optional
+    per-iteration hook applied to the iterate, used by neumann_solve to pin
+    the constant null-space component.
     """
     config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
@@ -72,12 +72,10 @@ def cg_solve(A, b, config=None, x0=None, precond=None, _project=None):
         raise LinearSolverError("right-hand side is not finite")
     n = b.size
     target = max(config.rel_tol * np.linalg.norm(b), config.abs_tol)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    if _project is not None:
-        x = _project(x)
+    x = np.zeros(n)
     precond = precond or _jacobi(A)
 
-    r = b - A @ x
+    r = b.copy()
     history = [np.linalg.norm(r)]
     if history[-1] <= target:
         return x, SolveReport(0, history[-1], target, True, history)

@@ -427,7 +427,7 @@ def pressure_laplacian(mesh, w, q_up=None):
         q_up = np.asarray(q_up, dtype=float)
         if np.any(q_up < 0.0):
             raise FieldError("upwind weight must be nonnegative")
-        q = q_up[internal] if q_up.size == mesh.nedges else q_up
+        q = q_up[internal]
     c = (q / w[internal]) * mesh.edge_lengths[internal] ** 2 / mesh.diamond_volumes[internal]
     return pressure_pattern(mesh).fill(np.concatenate([c, c, -c, -c, np.zeros(mesh.ncells)]))
 

@@ -15,6 +15,7 @@ import time as _time
 import numpy as np
 
 from . import operators as ops
+from .diagnostics import csv_number
 from .eos import AffineLaw
 from .linsolve import SolverConfig
 from .scheme import SchemeConfig, Stepper, initial_state
@@ -308,8 +309,4 @@ def write_convergence_csv(path, rows):
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:
-            vals = []
-            for c in cols:
-                v = row[c]
-                vals.append(str(v) if isinstance(v, int) else format(float(v), ".17g"))
-            fh.write(",".join(vals) + "\n")
+            fh.write(",".join(csv_number(row[c]) for c in cols) + "\n")

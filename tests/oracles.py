@@ -94,7 +94,7 @@ def pressure_laplacian_product(mesh, w, q_up=None):
         q = np.ones(internal.size)
     else:
         q_up = np.asarray(q_up, dtype=float)
-        q = q_up[internal] if q_up.size == mesh.nedges else q_up
+        q = q_up[internal]
     D = div_matrix_interior(mesh)
     minv = 1.0 / (mesh.diamond_volumes[internal] * w[internal])
     diag = sp.diags(np.repeat(q * minv, 2))

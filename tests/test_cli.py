@@ -150,6 +150,28 @@ def test_stability_zero_viscosity_exits_zero(tmp_path, capsys):
     assert "'mu' must be nonnegative" in capsys.readouterr().err
 
 
+def run_large_step(tmp_path, capsys, dt, eos):
+    rc = main(["stability", "--mesh", "12x12", "--dt", dt, "--eos", eos,
+               "--steps", "5", "--seed", "0", "--outdir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    assert "energy bound holds" in out
+    assert float(re.search(r"decrement margin (\S+)", out).group(1)) >= -1e-10
+
+
+@pytest.mark.parametrize("eos", ["power", "affine"])
+def test_stability_dt_10_exits_zero(tmp_path, capsys, eos):
+    # the projection's Newton passes solve for a correction of the mass
+    # residual, so the linear tolerance relative to |p| no longer floors it
+    run_large_step(tmp_path, capsys, "10", eos)
+
+
+@pytest.mark.xfail(strict=True, reason="at dt = 100 the lagged upwind fixed point barely "
+                   "contracts: the projection does not converge in 100 iterations")
+def test_stability_dt_100_exits_zero(tmp_path, capsys):
+    run_large_step(tmp_path, capsys, "100", "power")
+
+
 @pytest.mark.xfail(strict=True, reason="Jacobi-BiCGStab breaks down in the momentum "
                    "solve at small viscosity, although the matrix is well conditioned")
 def test_stability_affine_small_viscosity_exits_zero(tmp_path):

@@ -338,3 +338,7 @@ def test_pressure_laplacian_weight_validation():
         ops.pressure_laplacian(m, np.zeros(m.nedges))
     with pytest.raises(FieldError):
         ops.pressure_laplacian(m, np.ones(m.nedges), -np.ones(m.nedges))
+    # the upwind weight is an edge field; interior values alone are not read as one
+    m = build_rect_mesh(4, 3)
+    with pytest.raises(IndexError):
+        ops.pressure_laplacian(m, np.ones(m.nedges), np.ones(m.n_interior))

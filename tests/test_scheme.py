@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -391,6 +393,33 @@ def test_projection_nonconvergence_raises():
     with pytest.raises(SchemeError) as err:
         projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, cfg)
     assert err.value.history
+    num = r"\d\.\d{3}e[+-]\d\d"
+    assert re.fullmatch(rf"projection did not converge in 1 iterations "
+                        rf"\(last dp {num}, du {num}, residual {num}\)", str(err.value))
+
+
+def test_projection_evaluates_each_iterate_once(monkeypatch, rng):
+    # one density, upwind density and residual for the starting iterate,
+    # then one per pass for the updated iterate
+    mesh = build_rect_mesh(4, 4)
+    eos = PowerLaw(1.4)
+    cfg = tight_config(eos, dt=0.5)
+    state = random_state(mesh, eos, rng)
+    rho_tilde, _ = predict_density(mesh, state, cfg)
+    p_tilde, _ = renormalize_pressure(mesh, state, rho_tilde, cfg)
+    u_tilde, _ = predict_velocity(mesh, state, rho_tilde, p_tilde, cfg)
+    calls = {"rho": 0, "upwind": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(eos, "rho", counted("rho", eos.rho))
+    monkeypatch.setattr(ops, "upwind_cell_density", counted("upwind", ops.upwind_cell_density))
+    *_, report = projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, cfg)
+    assert report.iterations > 1
+    assert calls == {"rho": report.iterations + 1, "upwind": report.iterations + 1}
 
 
 # ----------------------------------------------------------------------
