@@ -131,7 +131,10 @@ def bicgstab_solve(A, b, config=None, x0=None, precond=None):
 
     Same stopping rule as cg_solve.  `precond` maps a vector r to
     z ~ A^-1 r; by default it is the Jacobi (diagonal) preconditioner.
-    A non-finite recurrence scalar or residual raises at once.
+    A non-finite recurrence scalar or residual raises at once.  A
+    breakdown (rhat . v = 0) restarts from the current iterate with its
+    residual as the new shadow residual; it raises only where it recurs
+    right after a (re)start.
     """
     config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
@@ -161,8 +164,10 @@ def bicgstab_solve(A, b, config=None, x0=None, precond=None):
     for k in range(1, maxit + 1):
         rho_new = rhat @ r
         check(k, "rho", rho_new)
+        fresh = k == 1
         if rho_new == 0.0 or (omega == 0.0 and k > 1):
             # stagnated shadow residual: restart from the current iterate
+            fresh = True
             r = b - A @ x
             rhat = r.copy()
             rho = alpha = omega = 1.0
@@ -179,7 +184,10 @@ def bicgstab_solve(A, b, config=None, x0=None, precond=None):
         denom = rhat @ v
         check(k, "rhat.v", denom)
         if denom == 0.0:
-            raise LinearSolverError(f"BiCGStab breakdown at iteration {k}", history)
+            if fresh:              # a restart would repeat this iteration
+                raise LinearSolverError(f"BiCGStab breakdown at iteration {k}", history)
+            omega = 0.0            # restart from the current iterate next iteration
+            continue
         alpha = rho / denom
         s = r - alpha * v
         if np.linalg.norm(s) <= target:

@@ -28,7 +28,9 @@ class RectMesh:
     (x-normal) edges first, column-fastest, then all horizontal (y-normal)
     edges.  For an internal edge the stored unit normal points from the
     first adjacent cell K to the second one L; for a boundary edge it points
-    outward and the second adjacency is -1.
+    outward and the second adjacency is -1.  Every sub-edge joins the
+    diamond of a vertical edge, sub_pair[:, 0], to that of a horizontal
+    edge, sub_pair[:, 1].
     """
 
     def __init__(self, nx, ny, domain=(0.0, 1.0, 0.0, 1.0)):

@@ -148,6 +148,30 @@ def test_bicgstab_nonfinite_preconditioner_raises_early():
     assert 1 <= len(err.value.history) <= 2
 
 
+def test_bicgstab_restarts_after_a_breakdown():
+    # the third preconditioner call, iteration 2's direction, returns zero,
+    # so rhat . v = 0 there: the solve restarts and still converges
+    n = 30
+    A = (_poisson_1d(n) + 0.8 * sp.diags([np.ones(n - 1), -np.ones(n - 1)], [1, -1])).tocsr()
+    b = np.linspace(-1.0, 2.0, n)
+    calls = []
+
+    def precond(r):
+        calls.append(r)
+        return np.zeros_like(r) if len(calls) == 3 else r / 2.0
+    x, report = bicgstab_solve(A, b, SolverConfig(rel_tol=1e-12), precond=precond)
+    assert len(calls) > 3 and report.converged
+    assert np.linalg.norm(b - A @ x) <= report.target
+
+
+def test_bicgstab_breakdown_at_a_fresh_start_raises():
+    # r . A r = 0 for a skew matrix: restarting cannot help
+    A = sp.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(LinearSolverError, match="breakdown at iteration 1") as err:
+        bicgstab_solve(A, np.array([1.0, 0.0]))
+    assert len(err.value.history) == 1
+
+
 def test_bicgstab_singular_system_fails():
     A = sp.csr_matrix(np.diag([1.0, 1.0, 0.0]))
     with pytest.raises(LinearSolverError):

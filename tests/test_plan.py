@@ -3,8 +3,9 @@
 Every matrix the stepper refills on a fixed pattern is compared with a
 fresh COO assembly from `oracles`: the same sparsity, index for index,
 and the same entries to 1e-14 relative.  The stepper's own matrices are
-captured where they reach the Krylov solvers; the density matrix gets
-there with the couplings its upwinding zeroes dropped.
+captured where they reach the Krylov solvers; the density solve gets the
+Schur complement of the upwind system on the vertical diamonds, which is
+compared column by column with a dense elimination.
 """
 
 import numpy as np
@@ -15,7 +16,8 @@ from baropc import operators as ops
 from baropc import scheme as sch
 from baropc import verification as ver
 from baropc.eos import PowerLaw
-from baropc.linsolve import SolverConfig, cg_solve, neumann_solve
+from baropc.cli import perturbed_initial_state
+from baropc.linsolve import SolverConfig, bicgstab_solve, cg_solve, neumann_solve
 from baropc.mesh import build_rect_mesh
 
 from conftest import smooth_cell_field
@@ -37,6 +39,15 @@ def assert_same_matrix(got, expect, rtol=1e-14):
     np.testing.assert_array_equal(got.indices, expect.indices)
     scale = max(np.abs(expect.data).max(initial=0.0), 1e-300)
     assert np.abs(got.data - expect.data).max(initial=0.0) <= rtol * scale
+
+
+def schur_on_vertical(mesh, A):
+    """Dense A_vv - A_vh A_hh^-1 A_hv, with A_hh required to be diagonal."""
+    nv = mesh.n_vertical
+    A = A.toarray()
+    A_hh = A[nv:, nv:]
+    np.testing.assert_array_equal(A_hh, np.diag(np.diag(A_hh)))
+    return A[:nv, :nv] - A[:nv, nv:] @ (A[nv:, :nv] / np.diag(A_hh)[:, None])
 
 
 def capture(monkeypatch, name):
@@ -73,14 +84,15 @@ def test_refilled_matrices_equal_fresh_assembly(monkeypatch, rng, nx, ny, domain
     cg = capture(monkeypatch, "cg_solve")
     stiffness = ops.viscous_stiffness(mesh, mu)
 
-    # density prediction: upwind diamond stencil plus two diagonals, with
-    # the couplings the upwinding zeroes dropped before the solve
+    # density prediction: the Schur complement of the upwind diamond system
+    # on the vertical diamonds, applied without being formed
     a = ops.subedge_velocity_coeffs(mesh, state.u)
     rho_tilde, _ = sch.predict_density(mesh, state, config)
-    A_density, _ = bicgstab[0]
-    expect = oracles.density_matrix_coo(mesh, a, config.dt, state.u)
-    expect.eliminate_zeros()
-    assert_same_matrix(A_density, expect)
+    S_density, _ = bicgstab[0]
+    expect = schur_on_vertical(mesh, oracles.density_matrix_coo(mesh, a, config.dt, state.u))
+    got = np.column_stack([S_density @ e for e in np.eye(mesh.n_vertical)])
+    assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+    np.testing.assert_array_equal(S_density.diagonal(), np.diag(got))
 
     # convection and the momentum blocks on the stiffness pattern
     fluxes = sch.mass_fluxes(mesh, state.u, rho_tilde)
@@ -112,6 +124,36 @@ def test_refilled_matrices_equal_fresh_assembly(monkeypatch, rng, nx, ny, domain
     expect = oracles.pressure_coo(mesh, rho_tilde, ops.upwind_cell_density(mesh, rho_k, u_tilde),
                                   shift=shift)
     assert_same_matrix(cg[0][0], expect)
+
+
+@pytest.mark.parametrize("nx, ny, domain", MESHES)
+def test_every_subedge_joins_a_vertical_and_a_horizontal_diamond(nx, ny, domain):
+    """The density graph is bipartite: the first diamond of each sub-edge is
+    a vertical edge's and the second a horizontal edge's, and no two
+    sub-edges join the same pair, so each coupling pattern of the reduced
+    density solve holds one entry per sub-edge."""
+    mesh = build_rect_mesh(nx, ny, domain)
+    vertical = mesh.sub_pair < mesh.n_vertical
+    assert vertical[:, 0].all() and not vertical[:, 1].any()
+    pairs = np.unique(mesh.sub_pair, axis=0)
+    assert pairs.shape[0] == mesh.nsubedges
+
+
+def test_reduced_density_solve_halves_the_bicgstab_count():
+    """At dt = 1 on 32^2, BiCGStab on the vertical diamonds' Schur complement
+    takes at most 0.6x the iterations of Jacobi-BiCGStab on the full upwind
+    system from the same starting density (about 0.5x measured)."""
+    mesh = build_rect_mesh(32, 32)
+    eos = PowerLaw(1.4)
+    config = sch.SchemeConfig(dt=1.0, mu=1e-2, eos=eos)
+    state = perturbed_initial_state(mesh, eos, 0)
+    _, reduced = sch.predict_density(mesh, state, config)
+    rho_edge = ops.edge_density(mesh, state.rho)
+    A = oracles.density_matrix_coo(mesh, ops.subedge_velocity_coeffs(mesh, state.u),
+                                   config.dt, state.u)
+    b = mesh.diamond_volumes / config.dt * rho_edge
+    _, full = bicgstab_solve(A, b, config.lin, x0=rho_edge)
+    assert reduced.iterations <= 0.6 * full.iterations, (reduced.iterations, full.iterations)
 
 
 def test_refilled_matrices_do_not_alias(rng):

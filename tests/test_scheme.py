@@ -74,25 +74,20 @@ def test_predict_density_at_rest_returns_edge_average(rng):
 
 
 def test_predict_density_conserves_diamond_mass(rng):
-    mesh = build_rect_mesh(5, 4)
     eos = AffineLaw()
-    for _ in range(5):
-        state = random_state(mesh, eos, rng)
-        rho_tilde, _ = predict_density(mesh, state, tight_config(eos, dt=0.3))
-        assert mesh.diamond_volumes @ rho_tilde == pytest.approx(
-            mesh.cell_volumes @ state.rho, rel=1e-11)
-        assert rho_tilde.min() > 0.0
+    for nx, ny in ((5, 4), (2, 16)):                     # hx / hy = 8 on 2x16
+        mesh = build_rect_mesh(nx, ny)
+        for dt in (0.3, 10.0, 1000.0):
+            for _ in range(5):
+                state = random_state(mesh, eos, rng)
+                rho_tilde, _ = predict_density(mesh, state, tight_config(eos, dt=dt))
+                assert mesh.diamond_volumes @ rho_tilde == pytest.approx(
+                    mesh.cell_volumes @ state.rho, rel=1e-11)
+                assert rho_tilde.min() > 0.0
 
 
-def test_predict_density_dense_oracle(rng):
-    # hand-assembled 7x7 upwind system on the two-cell mesh, plain loops
-    mesh = build_rect_mesh(2, 1)
-    eos = AffineLaw()
-    rho = np.array([1.3, 0.8])
-    u = 0.4 * rng.uniform(-1.0, 1.0, (mesh.nedges, 2))  # boundary data too
-    state = SchemeState(0.0, u, eos.pressure(rho), rho,
-                        ops.edge_density(mesh, rho))
-    dt = 0.2
+def dense_density_system(mesh, rho, u, dt):
+    """The upwind system over all diamonds, hand-assembled with plain loops."""
     n = mesh.nedges
     A = np.zeros((n, n))
     b = np.zeros(n)
@@ -115,9 +110,33 @@ def test_predict_density_dense_oracle(rng):
         A[s1, s2] -= max(-a, 0.0)
         A[s2, s2] += max(-a, 0.0)
         A[s2, s1] -= max(a, 0.0)
-    expect = np.linalg.solve(A, b)
-    got, _ = predict_density(mesh, state, tight_config(eos, dt=dt))
-    np.testing.assert_allclose(got, expect, rtol=1e-10)
+    return A, b
+
+
+def test_predict_density_dense_oracle(rng):
+    # the full residual meets the solver's stopping rule, and the solution
+    # agrees with a dense solve
+    eos = AffineLaw()
+    cases = [(2, 1, 0.2, True)] + [(nx, ny, dt, False) for nx, ny in ((5, 4), (2, 16))
+                                   for dt in (0.3, 10.0, 1000.0)]
+    for nx, ny, dt, inflow in cases:
+        mesh = build_rect_mesh(nx, ny)
+        rho = smooth_cell_field(mesh, rng, amp=0.3)
+        u = 0.4 * rng.uniform(-1.0, 1.0, (mesh.nedges, 2))  # boundary data too
+        if not inflow:
+            # inflow carries the diamond's own density, so the system stays
+            # an M-matrix only while it is below |D_sigma| / dt: make it outflow
+            bnd = mesh.boundary_edges
+            normal = mesh.edge_normals[bnd]
+            un = np.einsum("ed,ed->e", u[bnd], normal)
+            u[bnd] -= 2.0 * np.minimum(un, 0.0)[:, None] * normal
+        state = SchemeState(0.0, u, eos.pressure(rho), rho, ops.edge_density(mesh, rho))
+        A, b = dense_density_system(mesh, rho, u, dt)
+        config = tight_config(eos, dt=dt)
+        got, _ = predict_density(mesh, state, config)
+        lin = config.lin
+        assert np.linalg.norm(A @ got - b) <= max(lin.rel_tol * np.linalg.norm(b), lin.abs_tol)
+        np.testing.assert_allclose(got, np.linalg.solve(A, b), rtol=1e-10)
 
 
 def test_mass_fluxes_satisfy_diamond_balance(rng):
@@ -420,6 +439,26 @@ def test_projection_evaluates_each_iterate_once(monkeypatch, rng):
     *_, report = projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, cfg)
     assert report.iterations > 1
     assert calls == {"rho": report.iterations + 1, "upwind": report.iterations + 1}
+
+
+@pytest.mark.parametrize("eos", [PowerLaw(1.4), AffineLaw()], ids=["power", "affine"])
+def test_projection_never_reports_converged_above_tolerance(eos):
+    # at dt = 1000 the correction falls below CG's absolute floor before the
+    # mass residual reaches proj_eps on many of these states
+    mesh = build_rect_mesh(3, 3)
+    cfg = SchemeConfig(dt=1000.0, mu=1e-2, eos=eos,
+                       lin=SolverConfig(rel_tol=1e-10, abs_tol=1e-14))
+    for seed in range(20):
+        state = random_state(mesh, eos, np.random.default_rng(seed))
+        rho_tilde, _ = predict_density(mesh, state, cfg)
+        p_tilde, _ = renormalize_pressure(mesh, state, rho_tilde, cfg)
+        u_tilde, _ = predict_velocity(mesh, state, rho_tilde, p_tilde, cfg)
+        try:
+            *_, report = projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, cfg)
+        except SchemeError as err:
+            assert err.history
+        else:
+            assert report.mass_residual <= cfg.proj_eps
 
 
 # ----------------------------------------------------------------------
