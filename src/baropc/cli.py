@@ -24,7 +24,7 @@ from .linsolve import SolverConfig
 from .mesh import build_rect_mesh
 from .scheme import SchemeConfig, SchemeError, Stepper, initial_state
 from .verification import (SmoothFlowCase, convergence_study, error_norms,
-                           initial_exact_state, make_config,
+                           initial_exact_state, make_config, study_workers,
                            write_convergence_csv)
 
 
@@ -200,6 +200,10 @@ def _cmd_simulate(cfg):
 
 
 def _cmd_convergence(cfg):
+    try:
+        study_workers()
+    except ValueError as err:
+        raise ConfigError(str(err))
     case = SmoothFlowCase(gamma=cfg.gamma, mach=cfg.mach, mu=cfg.mu)
     meshes = cfg.mesh_list or [cfg.mesh]
     dts = cfg.dt_list or [0.1, 0.05, 0.025, 0.0125]

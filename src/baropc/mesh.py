@@ -150,40 +150,23 @@ class RectMesh:
         self.diamond_volumes = half.sum(axis=1)
 
     def _build_subedges(self):
-        nc = self.ncells
+        # the grid is uniform, so each of a cell's four sub-edges has the
+        # same length, normal and offset from the centroid in every cell;
+        # vertex slots BL, BR, TL, TR
         hx, hy = self.hx, self.hy
-        cent = self.cell_centroids
-        # vertex offsets from the centroid, ordered BL, BR, TL, TR
-        off = 0.5 * np.array(
-            [[-hx, -hy], [hx, -hy], [-hx, hy], [hx, hy]])
+        sx = np.array([-1.0, 1.0, -1.0, 1.0])
+        sy = np.array([-1.0, -1.0, 1.0, 1.0])
+        off = 0.5 * np.column_stack([sx * hx, sy * hy])     # vertex - centroid
+        diag = np.hypot(hx, hy)
+        # off turned a quarter, signed to point out of the cone of the
+        # vertical edge of the pair
+        normal = np.column_stack([-sx * hy, sy * hx]) / diag
 
-        sub_cell = np.repeat(np.arange(nc), 4)
-        pair = np.empty((nc, 4, 2), dtype=np.int64)
-        lengths = np.empty((nc, 4))
-        mids = np.empty((nc, 4, 2))
-        normals = np.empty((nc, 4, 2))
-        for v, (ea, eb) in enumerate(_VERTEX_EDGES):
-            vtx = cent + off[v]
-            t = cent - vtx
-            ln = np.hypot(t[:, 0], t[:, 1])
-            n = np.column_stack([t[:, 1], -t[:, 0]]) / ln[:, None]
-            m = 0.5 * (vtx + cent)
-            # orient outward from the cone of the first edge of the pair
-            sig_a = self.cell_edges[:, ea]
-            ga = (self.edge_p0[sig_a] + self.edge_p1[sig_a] + cent) / 3.0
-            flip = np.sum(n * (m - ga), axis=1) < 0.0
-            n[flip] *= -1.0
-            pair[:, v, 0] = sig_a
-            pair[:, v, 1] = self.cell_edges[:, eb]
-            lengths[:, v] = ln
-            mids[:, v] = m
-            normals[:, v] = n
-
-        self.sub_cell = sub_cell
-        self.sub_pair = pair.reshape(-1, 2)
-        self.sub_lengths = lengths.reshape(-1)
-        self.sub_midpoints = mids.reshape(-1, 2)
-        self.sub_normals = normals.reshape(-1, 2)
+        self.sub_cell = np.repeat(np.arange(self.ncells), 4)
+        self.sub_pair = self.cell_edges[:, np.array(_VERTEX_EDGES)].reshape(-1, 2)
+        self.sub_lengths = np.full(self.sub_cell.size, 0.5 * diag)
+        self.sub_midpoints = (self.cell_centroids[:, None] + 0.5 * off).reshape(-1, 2)
+        self.sub_normals = np.tile(normal, (self.ncells, 1))
         self.nsubedges = self.sub_cell.size
 
     def _freeze(self):

@@ -246,12 +246,12 @@ def viscous_stiffness(mesh, mu):
     if mu < 0.0:
         raise FieldError("viscosity must be nonnegative")
     loc, coupled = _viscous_local(mesh, mu)
-    gdof = np.repeat(2 * mesh.cell_edges, 2, axis=1)
+    gdof = np.repeat(2 * mesh.cell_edges.astype(np.int32), 2, axis=1)
     gdof[:, 1::2] += 1                             # (ncells, 8)
-    keep = coupled.ravel()
-    rows = np.repeat(gdof, 8, axis=1)[:, keep].ravel()
-    cols = np.tile(gdof, (1, 8))[:, keep].ravel()
-    vals = np.tile(loc.ravel()[keep], mesh.ncells)
+    r, c = np.divmod(np.flatnonzero(coupled), 8)   # local slots, row major
+    rows = gdof[:, r].ravel()
+    cols = gdof[:, c].ravel()
+    vals = np.tile(loc[r, c], mesh.ncells)
     n = 2 * mesh.nedges
     A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     A.sum_duplicates()

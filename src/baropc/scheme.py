@@ -239,7 +239,9 @@ def _momentum_plan(mesh, stiffness, convection):
     the blocks of interior rows against interior and boundary columns."""
     e = mesh.interior_edges
     idof = np.stack([2 * e, 2 * e + 1], axis=1).ravel().astype(np.int32)
-    bdof = np.setdiff1d(np.arange(stiffness.shape[0]), idof)
+    interior = np.zeros(stiffness.shape[0], dtype=bool)
+    interior[idof] = True
+    bdof = np.flatnonzero(~interior)
     marks = ops.marker(stiffness)
     conv = marks.multiply(ops.marker(convection).sign()).tocsr()
     if conv.nnz != convection.nnz:

@@ -10,6 +10,7 @@ gradient; without that treatment the nonconforming element's gradient
 inconsistency would pollute the convergence study.
 """
 
+import os
 import time as _time
 
 import numpy as np
@@ -66,6 +67,7 @@ class SmoothFlowCase:
 
     # -- derived fields ------------------------------------------------
     def velocity(self, x, t):
+        x = self.spatial(x)
         return self.momentum(x, t) / self.rho(x, t)[..., None]
 
     def pressure(self, x, t):
@@ -176,7 +178,7 @@ def error_norms(mesh, state, case, quad_order=3):
     pts, w, phi = _cell_quadrature(mesh, quad_order)
     coeffs = state.u[mesh.cell_edges]                # (ncells, 4, 2)
     u_h = np.einsum("qa,cad->cqd", phi, coeffs)
-    diff = u_h - case.velocity(pts, state.t)
+    diff = u_h - case.velocity(_at_fixed_points(case, mesh, pts), state.t)
     err_v = np.sqrt(np.einsum("q,cqd->", w, diff ** 2))
     p_ex = case.pressure(mesh.cell_centroids, state.t)
     err_p = np.sqrt(np.sum(mesh.cell_volumes * (state.p - p_ex) ** 2))
@@ -200,7 +202,7 @@ def make_config(case, dt, lin_tol=1e-10, proj_eps=1e-8, convection="centered",
 def initial_exact_state(case, mesh):
     return initial_state(mesh, case.eos,
                          lambda x: case.rho(x, 0.0),
-                         lambda x: case.velocity(x, 0.0))
+                         lambda x: case.velocity(_at_fixed_points(case, mesh, x), 0.0))
 
 
 def run_smooth_flow(mesh, dt, t_end=0.5, case=None, **config_kwargs):
@@ -269,26 +271,33 @@ def _study_cell(job):
     }
 
 
+def study_workers():
+    """Worker processes of a convergence study: the BAROPC_THREADS
+    environment variable, a positive integer (1, sequential, when unset)."""
+    raw = os.environ.get("BAROPC_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"BAROPC_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def convergence_study(mesh_sizes, dts, t_end=0.5, case=None, domain=None,
                       **config_kwargs):
     """Run the exact-flow problem on every (mesh, dt) pair.
 
     Returns (rows, orders): one row per run with the errors at t_end,
     and per-mesh fitted temporal orders for velocity and pressure.
-    Honors the BAROPC_THREADS environment variable for parallel cells
-    (sequential and deterministic by default).
+    Runs the cells on `study_workers()` processes; the rows do not depend
+    on that number.
     """
-    import os
-
     case = case or SmoothFlowCase()
     domain = domain or case.domain
     jobs = [(nx, ny, dt, domain, t_end, case, config_kwargs)
             for (nx, ny) in mesh_sizes for dt in dts]
 
-    nthreads = int(os.environ.get("BAROPC_THREADS", "1"))
-    if nthreads > 1 and len(jobs) > 1:
+    workers = study_workers()
+    if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=nthreads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_study_cell, jobs))
     else:
         rows = [_study_cell(job) for job in jobs]

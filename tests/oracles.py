@@ -1,12 +1,14 @@
 """Reference constructions used only by the tests.
 
 Pointwise finite element evaluation, the lumped velocity mass, the
-pressure operator as an explicit matrix product, and fresh COO assemblies
-of every matrix the stepper refills on a fixed pattern.  They are written
-independently of the library's cached patterns so the tests can compare
-the two routes entry by entry.  The last section holds the spatial
-convergence measurement: smooth-flow runs with their O(dt) error
-extrapolated away, and an upwind transport solve to compare them with.
+pressure operator as an explicit matrix product, the sub-edge geometry
+and the viscous stiffness built cell by cell, and fresh COO assemblies of
+every matrix the stepper refills on a fixed pattern.  They are written
+independently of the library's per-slot constants and cached patterns so
+the tests can compare the two routes entry by entry.  The last section
+holds the spatial convergence measurement: smooth-flow runs with their
+O(dt) error extrapolated away, and an upwind transport solve to compare
+them with.
 """
 
 import functools
@@ -17,7 +19,7 @@ import scipy.sparse.linalg as spla
 
 from baropc import operators as ops
 from baropc import verification as ver
-from baropc.mesh import build_rect_mesh
+from baropc.mesh import BOTTOM, LEFT, RIGHT, TOP, build_rect_mesh
 from baropc.operators import FieldError
 from baropc.scheme import SchemeState
 
@@ -100,6 +102,52 @@ def pressure_laplacian_product(mesh, w, q_up=None):
     diag = sp.diags(np.repeat(q * minv, 2))
     # G = -D^T, so -D (Q M^-1) G = D (Q M^-1) D^T
     return (D @ diag @ D.T).tocsr()
+
+
+# ----------------------------------------------------------------------
+# per-mesh geometry and the viscous stiffness, built cell by cell
+
+_VERTEX_EDGES = ((LEFT, BOTTOM), (RIGHT, BOTTOM), (LEFT, TOP), (RIGHT, TOP))
+
+
+def subedges_per_cell(mesh):
+    """(sub_cell, sub_pair, lengths, midpoints, normals) of the sub-edges
+    from each cell's vertex coordinates, the normal turned out of the cone
+    of the pair's first edge by comparing with that cone's centroid."""
+    cent = mesh.cell_centroids
+    off = 0.5 * np.array([[-mesh.hx, -mesh.hy], [mesh.hx, -mesh.hy],
+                          [-mesh.hx, mesh.hy], [mesh.hx, mesh.hy]])
+    pair = np.empty((mesh.ncells, 4, 2), dtype=np.int64)
+    lengths = np.empty((mesh.ncells, 4))
+    mids = np.empty((mesh.ncells, 4, 2))
+    normals = np.empty((mesh.ncells, 4, 2))
+    for v, (ea, eb) in enumerate(_VERTEX_EDGES):
+        vtx = cent + off[v]
+        t = cent - vtx
+        ln = np.hypot(t[:, 0], t[:, 1])
+        n = np.column_stack([t[:, 1], -t[:, 0]]) / ln[:, None]
+        m = 0.5 * (vtx + cent)
+        sig_a = mesh.cell_edges[:, ea]
+        ga = (mesh.edge_p0[sig_a] + mesh.edge_p1[sig_a] + cent) / 3.0
+        n[np.sum(n * (m - ga), axis=1) < 0.0] *= -1.0
+        pair[:, v] = np.column_stack([sig_a, mesh.cell_edges[:, eb]])
+        lengths[:, v], mids[:, v], normals[:, v] = ln, m, n
+    return (np.repeat(np.arange(mesh.ncells), 4), pair.reshape(-1, 2), lengths.ravel(),
+            mids.reshape(-1, 2), normals.reshape(-1, 2))
+
+
+def viscous_stiffness_dense(mesh, mu):
+    """Dense viscous stiffness and its stored pattern, each cell's coupled
+    8x8 block added in turn."""
+    loc, coupled = ops._viscous_local(mesh, mu)
+    n = 2 * mesh.nedges
+    A = np.zeros((n, n))
+    stored = np.zeros((n, n), dtype=bool)
+    for edges in mesh.cell_edges:
+        block = np.ix_(*2 * [(2 * edges[:, None] + np.arange(2)).ravel()])
+        A[block] += np.where(coupled, loc, 0.0)
+        stored[block] |= coupled
+    return A, stored
 
 
 # ----------------------------------------------------------------------

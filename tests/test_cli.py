@@ -257,3 +257,15 @@ def test_convergence_command(tmp_path, capsys):
     assert lines[0].startswith("nx,ny,dt,")
     assert len(lines) == 3
     assert "temporal order" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("threads", ["two", "0", "-1", "1.5"])
+def test_convergence_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("BAROPC_THREADS", threads)
+    rc = main(["convergence", "--mesh-list", "4x4", "--dt-list", "0.1;0.05",
+               "--outdir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: BAROPC_THREADS must be a positive integer")
+    assert repr(threads) in err
+    assert not (tmp_path / "convergence.csv").exists()

@@ -5,7 +5,9 @@ fresh COO assembly from `oracles`: the same sparsity, index for index,
 and the same entries to 1e-14 relative.  The stepper's own matrices are
 captured where they reach the Krylov solvers; the density solve gets the
 Schur complement of the upwind system on the vertical diamonds, which is
-compared column by column with a dense elimination.
+compared column by column with a dense elimination.  The sub-edge
+geometry and the viscous stiffness, built once per mesh from per-slot
+constants, are compared with cell-by-cell constructions.
 """
 
 import numpy as np
@@ -137,6 +139,64 @@ def test_every_subedge_joins_a_vertical_and_a_horizontal_diamond(nx, ny, domain)
     assert vertical[:, 0].all() and not vertical[:, 1].any()
     pairs = np.unique(mesh.sub_pair, axis=0)
     assert pairs.shape[0] == mesh.nsubedges
+
+
+@pytest.mark.parametrize("nx, ny, domain", MESHES)
+def test_subedge_geometry_matches_cell_by_cell_construction(nx, ny, domain):
+    """The per-slot sub-edge constants give the cell-by-cell geometry: same
+    cells and pairs, lengths, midpoints and normals to 1e-14 relative; each
+    normal is a unit vector across its sub-edge, out of the cone of the
+    pair's first edge."""
+    mesh = build_rect_mesh(nx, ny, domain)
+    cell, pair, lengths, mids, normals = oracles.subedges_per_cell(mesh)
+    np.testing.assert_array_equal(mesh.sub_cell, cell)
+    np.testing.assert_array_equal(mesh.sub_pair, pair)
+    for got, expect in ((mesh.sub_lengths, lengths), (mesh.sub_midpoints, mids),
+                        (mesh.sub_normals, normals)):
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
+    n, cent = mesh.sub_normals, mesh.cell_centroids[mesh.sub_cell]
+    np.testing.assert_allclose(np.hypot(n[:, 0], n[:, 1]), 1.0, rtol=1e-15)
+    # the sub-edge runs from the centroid to the vertex the pair's edges share
+    a, b = mesh.sub_pair[:, 0], mesh.sub_pair[:, 1]
+    near_p0 = (np.linalg.norm(mesh.edge_p0[a] - mesh.edge_midpoints[b], axis=1)
+               < np.linalg.norm(mesh.edge_p1[a] - mesh.edge_midpoints[b], axis=1))
+    shared = np.where(near_p0[:, None], mesh.edge_p0[a], mesh.edge_p1[a])
+    along = shared - cent
+    np.testing.assert_allclose(np.hypot(along[:, 0], along[:, 1]), mesh.sub_lengths, rtol=1e-14)
+    np.testing.assert_allclose(0.5 * (shared + cent), mesh.sub_midpoints, rtol=1e-14)
+    assert np.abs(np.einsum("sd,sd->s", n, along)).max() <= 1e-14 * mesh.sub_lengths.max()
+    cone = (mesh.edge_p0[a] + mesh.edge_p1[a] + cent) / 3.0
+    assert np.all(np.einsum("sd,sd->s", n, mesh.sub_midpoints - cone) > 0.0)
+
+
+@pytest.mark.parametrize("nx, ny, domain", MESHES)
+@pytest.mark.parametrize("mu", [0.0, 0.05])
+def test_viscous_stiffness_equals_cell_by_cell_assembly(nx, ny, domain, mu):
+    """Every stored entry is the exact sum of the cells' local entries (at
+    most two cells share one, so the order of the sum does not matter), and
+    exactly the couplings are stored."""
+    mesh = build_rect_mesh(nx, ny, domain)
+    K = ops.viscous_stiffness(mesh, mu)
+    dense, stored = oracles.viscous_stiffness_dense(mesh, mu)
+    np.testing.assert_array_equal(K.toarray(), dense)
+    entries = K.tocoo()
+    pattern = np.zeros_like(stored)
+    pattern[entries.row, entries.col] = True
+    assert K.nnz == stored.sum()
+    np.testing.assert_array_equal(pattern, stored)
+
+
+@pytest.mark.parametrize("nx, ny, domain", MESHES)
+def test_momentum_plan_boundary_dofs_complement_interior_dofs(rng, nx, ny, domain):
+    mesh = build_rect_mesh(nx, ny, domain)
+    fluxes = rng.uniform(-1.0, 1.0, mesh.nsubedges)
+    plan = sch._momentum_plan(mesh, ops.viscous_stiffness(mesh, 0.05),
+                              ops.convection_matrix(mesh, fluxes, "centered"))
+    both = np.concatenate([plan.idof, plan.bdof])
+    np.testing.assert_array_equal(np.sort(both), np.arange(2 * mesh.nedges))
+    np.testing.assert_array_equal(
+        plan.bdof, (2 * mesh.boundary_edges[:, None] + np.arange(2)).ravel())
 
 
 def test_reduced_density_solve_halves_the_bicgstab_count():
