@@ -166,10 +166,33 @@ def test_stability_dt_10_exits_zero(tmp_path, capsys, eos):
     run_large_step(tmp_path, capsys, "10", eos)
 
 
-@pytest.mark.xfail(strict=True, reason="at dt = 100 the lagged upwind fixed point barely "
-                   "contracts: the projection does not converge in 100 iterations")
-def test_stability_dt_100_exits_zero(tmp_path, capsys):
-    run_large_step(tmp_path, capsys, "100", "power")
+@pytest.mark.parametrize("eos", ["power", "affine"])
+def test_stability_dt_100_exits_zero(tmp_path, capsys, eos):
+    # the carried increment q = p - p_tilde keeps the velocity update free of
+    # the rounding in a difference of two O(1) pressures
+    run_large_step(tmp_path, capsys, "100", eos)
+
+
+def test_stability_dt_1000_affine_exits_zero(tmp_path, capsys):
+    # the pass target follows the mass-balance tolerance, not CG's absolute floor
+    run_large_step(tmp_path, capsys, "1000", "affine")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="at dt = 1000 the power law's Newton shift is tiny and the "
+                   "projection stalls near residual 1e-6 (100 passes)")
+def test_stability_dt_1000_power_exits_zero(tmp_path, capsys):
+    run_large_step(tmp_path, capsys, "1000", "power")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="at mu = 0 on 64x64 the convection-dominated momentum system "
+                   "defeats Jacobi-BiCGStab (1000 iterations)")
+def test_stability_zero_viscosity_64_exits_zero(tmp_path, capsys):
+    rc = main(["stability", "--mesh", "64x64", "--dt", "1.0", "--eos", "power",
+               "--mu", "0", "--steps", "4", "--seed", "0", "--lin-maxit", "1000",
+               "--outdir", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
 
 
 def test_stability_affine_small_viscosity_exits_zero(tmp_path):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from baropc.linsolve import SolverConfig
 from baropc.mesh import build_rect_mesh
 from baropc import diagnostics as diag
 from baropc import operators as ops
+from baropc import scheme as sch
+from baropc.cli import perturbed_initial_state
 from baropc.scheme import (SchemeConfig, SchemeError, SchemeState, Stepper,
                            advance, initial_state, mass_fluxes, predict_density,
                            predict_velocity, projection_step,
@@ -441,24 +444,74 @@ def test_projection_evaluates_each_iterate_once(monkeypatch, rng):
     assert calls == {"rho": report.iterations + 1, "upwind": report.iterations + 1}
 
 
-@pytest.mark.parametrize("eos", [PowerLaw(1.4), AffineLaw()], ids=["power", "affine"])
-def test_projection_never_reports_converged_above_tolerance(eos):
-    # at dt = 1000 the correction falls below CG's absolute floor before the
-    # mass residual reaches proj_eps on many of these states
+def project_at_dt_1000(eos, seed):
     mesh = build_rect_mesh(3, 3)
     cfg = SchemeConfig(dt=1000.0, mu=1e-2, eos=eos,
                        lin=SolverConfig(rel_tol=1e-10, abs_tol=1e-14))
-    for seed in range(20):
-        state = random_state(mesh, eos, np.random.default_rng(seed))
-        rho_tilde, _ = predict_density(mesh, state, cfg)
-        p_tilde, _ = renormalize_pressure(mesh, state, rho_tilde, cfg)
-        u_tilde, _ = predict_velocity(mesh, state, rho_tilde, p_tilde, cfg)
-        try:
-            *_, report = projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, cfg)
-        except SchemeError as err:
-            assert err.history
-        else:
-            assert report.mass_residual <= cfg.proj_eps
+    state = random_state(mesh, eos, np.random.default_rng(seed))
+    rho_tilde, _ = predict_density(mesh, state, cfg)
+    p_tilde, _ = renormalize_pressure(mesh, state, rho_tilde, cfg)
+    u_tilde, _ = predict_velocity(mesh, state, rho_tilde, p_tilde, cfg)
+    *_, report = projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, cfg)
+    return cfg, report
+
+
+@pytest.mark.parametrize("eos", [PowerLaw(1.4), AffineLaw()], ids=["power", "affine"])
+def test_projection_never_reports_converged_above_tolerance(eos):
+    # at dt = 1000 the correction is far below CG's absolute floor lin.abs_tol;
+    # the passes' target follows proj_eps instead, so every state converges
+    stalls = {7} if isinstance(eos, PowerLaw) else set()
+    for seed in sorted(set(range(20)) - stalls):
+        cfg, report = project_at_dt_1000(eos, seed)
+        assert report.mass_residual < cfg.proj_eps
+
+
+@pytest.mark.xfail(strict=True, raises=SchemeError,
+                   reason="the power law's Newton shift at dt = 1000 is tiny, the operator "
+                   "nearly singular: the passes stall at residual 2e-8")
+def test_projection_converges_at_dt_1000_power_seed_7():
+    project_at_dt_1000(PowerLaw(1.4), 7)
+
+
+def test_projection_passes_are_inexact(monkeypatch):
+    # each pass's CG stops at ETA times its right-hand side or at half the
+    # mass-balance budget; against solves to lin.rel_tol the passes stay the
+    # same and the CG work falls
+    mesh = build_rect_mesh(32, 32, (0.0, 1.0, -0.5, 0.5))
+    eos = PowerLaw(1.4)
+    cfg = SchemeConfig(dt=1.0, mu=1e-2, eos=eos, lin=SolverConfig(rel_tol=1e-10, abs_tol=1e-14))
+    solve = sch.cg_solve
+
+    def run(rule):
+        passes = []
+
+        def recording(A, b, lin, **kwargs):
+            x, report = solve(A, b, rule(lin), **kwargs)
+            passes[-1].append((np.linalg.norm(b), report.target, report.iterations))
+            return x, report
+        monkeypatch.setattr(sch, "cg_solve", recording)
+        stepper, state, steps = Stepper(mesh, cfg), perturbed_initial_state(mesh, eos, 0), []
+        for _ in range(3):
+            passes.append([])
+            new, report = stepper.step(state)
+            steps.append((state, new, report))
+            state = new
+        return passes, steps
+
+    inexact, steps = run(lambda lin: lin)
+    for passes, (old, new, report) in zip(inexact, steps):
+        floor = 0.5 * cfg.proj_eps * np.max(mesh.cell_volumes * old.rho) / cfg.dt
+        for norm_b, target, _ in passes:
+            assert target == max(sch.ETA * norm_b, floor)
+        assert report.mass_residual < cfg.proj_eps
+        mass = mesh.cell_volumes @ old.rho
+        assert abs(mesh.cell_volumes @ new.rho - mass) <= 1e-15 * mass
+        assert report.solver_iterations["projection"] == sum(it for *_, it in passes)
+        assert report.inner_iterations == len(passes)
+
+    exact, _ = run(lambda lin: replace(lin, rel_tol=1e-10, abs_tol=1e-14))
+    assert [len(p) for p in exact] == [len(p) for p in inexact]
+    assert sum(it for p in inexact for *_, it in p) <= 0.6 * sum(it for p in exact for *_, it in p)
 
 
 # ----------------------------------------------------------------------
