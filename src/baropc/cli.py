@@ -36,11 +36,11 @@ class _OutOfRange(ValueError):
     pass
 
 
-def _number(sign):
-    """Parser of a finite float that is "positive" (> 0) or "nonnegative" (>= 0)."""
+def _number(sign, kind=float):
+    """Parser of a finite `kind` number that is "positive" (> 0) or "nonnegative" (>= 0)."""
     def parse(raw):
-        value = float(raw)
-        if not np.isfinite(value) or value < 0.0 or (value == 0.0 and sign == "positive"):
+        value = kind(raw)
+        if not 0.0 <= value < np.inf or (value == 0.0 and sign == "positive"):
             raise _OutOfRange(sign)
         return value
     return parse
@@ -90,7 +90,7 @@ _KEYS = {
     "domain": (_parse_domain, "0,1,-0.5,0.5", "x0,x1,y0,y1"),
     "dt": (_number("positive"), "0.025", "time step"),
     "t_end": (_number("positive"), "0.5", "final time"),
-    "steps": (_optional(int), "none", "number of steps (stability)"),
+    "steps": (_optional(_number("positive", int)), "none", "number of steps (stability)"),
     "mu": (_number("nonnegative"), "1e-2", "viscosity"),
     "eos": (_choice("eos", "affine", "power", "linear"), "affine", "affine | power | linear"),
     "gamma": (_number("positive"), "1.4", "adiabatic exponent"),
@@ -99,9 +99,9 @@ _KEYS = {
     "proj_eps": (_number("positive"), "1e-8", "projection tolerance"),
     "alpha": (_number("positive"), "1.0", "projection relaxation in (0,1]"),
     "lin_tol": (_number("positive"), "1e-10", "linear solver tolerance"),
-    "lin_maxit": (_optional(int), "none", "linear solver iteration cap"),
+    "lin_maxit": (_optional(_number("positive", int)), "none", "linear solver iteration cap"),
     "outdir": (str, ".", "output directory"),
-    "seed": (int, "0", "perturbation seed (stability)"),
+    "seed": (_number("nonnegative", int), "0", "perturbation seed (stability)"),
     "dt_list": (_list(_number("positive")), "none", "semicolon-separated dts (convergence)"),
     "mesh_list": (_list(_parse_mesh), "none", "semicolon-separated meshes (convergence)"),
 }
@@ -257,6 +257,8 @@ def _cmd_stability(cfg):
                           lin=SolverConfig(rel_tol=cfg.lin_tol, abs_tol=1e-14,
                                            max_iter=cfg.lin_maxit))
     nsteps = cfg.steps if cfg.steps is not None else int(round(cfg.t_end / cfg.dt))
+    if nsteps < 1:      # a run without steps certifies nothing
+        raise ConfigError(f"'t_end' = {cfg.t_end} over 'dt' = {cfg.dt} rounds to 0 steps")
     _, ledger = _advance_with_ledger(mesh, config, perturbed_initial_state(mesh, eos, cfg.seed),
                                      nsteps, cfg.outdir)
     ok, worst, step = diag.energy_bound_check(ledger)

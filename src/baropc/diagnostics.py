@@ -53,10 +53,8 @@ def pressure_seminorm_sq(mesh, q, w_edge):
                   * jump ** 2)
 
 
-def viscous_dissipation(mesh, u, mu, stiffness=None):
-    """Broken a(u, u) = mu |grad u|^2 + (mu/3) |div u|^2, elementwise."""
-    if stiffness is None:
-        stiffness = ops.viscous_stiffness(mesh, mu)
+def viscous_dissipation(u, stiffness):
+    """Broken a(u, u) = mu |grad u|^2 + (mu/3) |div u|^2, from the viscous stiffness."""
     flat = np.asarray(u, dtype=float).ravel()
     return flat @ (stiffness @ flat)
 
@@ -71,11 +69,10 @@ LEDGER_COLUMNS = ("step", "time", "kinetic", "elastic", "viscous_cum",
 class EnergyLedger:
     """Per-step record of the quantities entering the energy bound."""
 
-    def __init__(self, mesh, config, stiffness=None):
+    def __init__(self, mesh, config, stiffness):
         self.mesh = mesh
         self.config = config
-        self.stiffness = stiffness if stiffness is not None \
-            else ops.viscous_stiffness(mesh, config.mu)
+        self.stiffness = stiffness
         self.rows = []
         self._viscous_cum = 0.0
 
@@ -120,14 +117,14 @@ def csv_number(value):
     return format(float(value), ".17g")
 
 
-def ledger_entry(mesh, state, u_tilde, config, stiffness=None):
+def ledger_entry(mesh, state, u_tilde, config, stiffness):
     """Energy terms of one ledger row; u_tilde = None adds no dissipation."""
     rho_edge = ops.edge_density(mesh, state.rho)
     return {
         "kinetic": kinetic_energy(mesh, state.u, rho_edge),
         "elastic": elastic_energy(mesh, state.rho, config.eos),
         "viscous_increment": 0.0 if u_tilde is None else config.dt * viscous_dissipation(
-            mesh, u_tilde, config.mu, stiffness),
+            u_tilde, stiffness),
         "psem": 0.5 * config.dt ** 2
                 * pressure_seminorm_sq(mesh, state.p, state.rho_edge_pred),
         "total_mass": np.sum(mesh.cell_volumes * state.rho),

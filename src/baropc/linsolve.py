@@ -34,6 +34,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("solver tolerances must be positive")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
     def iterations(self, n):
         return self.max_iter if self.max_iter is not None else max(50, 10 * n)
@@ -44,7 +46,6 @@ class SolveReport:
     iterations: int
     residual: float
     target: float
-    converged: bool
     history: list = field(default_factory=list)
 
 
@@ -78,7 +79,7 @@ def cg_solve(A, b, config=None, precond=None, _project=None):
     r = b.copy()
     history = [np.linalg.norm(r)]
     if history[-1] <= target:
-        return x, SolveReport(0, history[-1], target, True, history)
+        return x, SolveReport(0, history[-1], target, history)
     z = precond(r)
     p = z.copy()
     rz = r @ z
@@ -110,7 +111,7 @@ def cg_solve(A, b, config=None, precond=None, _project=None):
             res = np.linalg.norm(r)
             history[-1] = res
             if res <= target:
-                return x, SolveReport(k, res, target, True, history)
+                return x, SolveReport(k, res, target, history)
             # the old direction is not conjugate to the true residual: restart
             z = precond(r)
             p = z.copy()
@@ -154,7 +155,7 @@ def bicgstab_solve(A, b, config=None, x0=None, precond=None):
     r = b - A @ x
     history = [np.linalg.norm(r)]
     if history[-1] <= target:
-        return x, SolveReport(0, history[-1], target, True, history)
+        return x, SolveReport(0, history[-1], target, history)
     rhat = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros(n)
@@ -195,7 +196,7 @@ def bicgstab_solve(A, b, config=None, x0=None, precond=None):
             res = np.linalg.norm(b - A @ x)
             history.append(res)
             if res <= target:
-                return x, SolveReport(k, res, target, True, history)
+                return x, SolveReport(k, res, target, history)
             r = b - A @ x
             continue
         shat = precond(s)
@@ -215,7 +216,7 @@ def bicgstab_solve(A, b, config=None, x0=None, precond=None):
             true_res = np.linalg.norm(b - A @ x)
             history[-1] = true_res
             if true_res <= target:
-                return x, SolveReport(k, true_res, target, True, history)
+                return x, SolveReport(k, true_res, target, history)
             r = b - A @ x
     raise LinearSolverError(
         f"BiCGStab did not converge in {maxit} iterations (residual {history[-1]:.3e}, "
@@ -235,7 +236,7 @@ def neumann_solve(A, b, volumes, config=None, precond=None):
     volumes = np.asarray(volumes, dtype=float)
     bnorm = np.linalg.norm(b)
     if bnorm <= config.abs_tol:
-        return np.zeros(b.size), SolveReport(0, bnorm, config.abs_tol, True, [bnorm])
+        return np.zeros(b.size), SolveReport(0, bnorm, config.abs_tol, [bnorm])
     constant_part = abs(b.sum()) / np.sqrt(b.size)
     if constant_part > max(1e3 * config.rel_tol * bnorm, config.abs_tol):
         raise LinearSolverError(

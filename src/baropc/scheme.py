@@ -81,15 +81,12 @@ class SchemeState:
 class ProjectionReport:
     iterations: int
     mass_residual: float
-    update_history: list
-    solver_iterations: int = 0     # CG iterations summed over the passes
+    solver_iterations: int         # CG iterations summed over the passes
 
 
 @dataclass
 class StepReport:
     u_tilde: np.ndarray
-    rho_edge_n: np.ndarray
-    fluxes: np.ndarray
     inner_iterations: int
     mass_residual: float
     solver_iterations: dict    # Krylov iterations per stage; "density" counts the reduced system's
@@ -147,14 +144,13 @@ def _density_plan(mesh):
                            C=ops.Pattern.assemble(h, v, (nh, nv)))
 
 
-def predict_density(mesh, state, config, rho_edge_n=None, coeffs=None):
+def predict_density(mesh, state, config, rho_edge_n, coeffs):
     """Upwind mass balance over all diamonds, boundary half-diamonds included.
 
     Returns the predicted edge density.  The transporting field is the
     finite element interpolation of the current velocity at the sub-edge
     midpoints; the flux across the domain boundary uses the prescribed
-    normal velocity times the diamond's own density.  The old edge density
-    and the sub-edge velocity coefficients may be passed in if known.
+    normal velocity times the diamond's own density.
 
     Every sub-edge joins a vertical to a horizontal diamond, so with the
     vertical ones first the system is [[D_v, -B], [-C, D_h]] with D_v, D_h
@@ -165,9 +161,6 @@ def predict_density(mesh, state, config, rho_edge_n=None, coeffs=None):
     rho_v).  S is an M-matrix, so rho_v > 0 and with it rho_h > 0.
     """
     dt = config.dt
-    a = ops.subedge_velocity_coeffs(mesh, state.u) if coeffs is None else coeffs
-    if rho_edge_n is None:
-        rho_edge_n = ops.edge_density(mesh, state.rho)
     plan = mesh.cached("density_plan", _density_plan)
     nv = mesh.n_vertical
     mass = mesh.diamond_volumes / dt
@@ -175,7 +168,7 @@ def predict_density(mesh, state, config, rho_edge_n=None, coeffs=None):
     diag = mass.copy()
     diag[bnd] += mesh.edge_lengths[bnd] * np.einsum(
         "ed,ed->e", state.u[bnd], mesh.edge_normals[bnd])
-    ap, am = np.maximum(a, 0.0), np.maximum(-a, 0.0)    # out of the vertical diamond, into it
+    ap, am = np.maximum(coeffs, 0.0), np.maximum(-coeffs, 0.0)  # out of / into the vertical diamond
     diag[:nv] += np.bincount(plan.v, ap, minlength=nv)
     diag[nv:] += np.bincount(plan.h, am, minlength=diag.size - nv)
     dv, dh = diag[:nv], diag[nv:]
@@ -197,12 +190,11 @@ def predict_density(mesh, state, config, rho_edge_n=None, coeffs=None):
     return rho_tilde, report
 
 
-def mass_fluxes(mesh, u, rho_tilde, coeffs=None):
+def mass_fluxes(mesh, coeffs, rho_tilde):
     """Per-sub-edge upwind mass fluxes, oriented out of sub_pair[:, 0]."""
-    a = ops.subedge_velocity_coeffs(mesh, u) if coeffs is None else coeffs
     s1 = mesh.sub_pair[:, 0]
     s2 = mesh.sub_pair[:, 1]
-    return np.maximum(a, 0.0) * rho_tilde[s1] - np.maximum(-a, 0.0) * rho_tilde[s2]
+    return np.maximum(coeffs, 0.0) * rho_tilde[s1] - np.maximum(-coeffs, 0.0) * rho_tilde[s2]
 
 
 # ----------------------------------------------------------------------
@@ -257,22 +249,16 @@ def _momentum_plan(mesh, stiffness, convection):
 
 
 def predict_velocity(mesh, state, rho_tilde, p_tilde, config,
-                     fluxes=None, stiffness=None, rho_edge_n=None, bc_next=None):
+                     fluxes, stiffness, rho_edge_n, bc_next):
     """Semi-implicit momentum solve for the tentative velocity.
 
     The convection matrix is built from the same mass fluxes as the
     density prediction (that compatibility is the point of step 1), the
     pressure force uses the discrete gradient of the renormalized
-    pressure, and Dirichlet rows are eliminated with boundary data at the
-    new time level moved to the right-hand side.  The optional arguments
-    are inputs the caller may already have computed.
+    pressure, and Dirichlet rows are eliminated with the boundary data
+    `bc_next` at the new time level moved to the right-hand side.
     """
     dt = config.dt
-    t_next = state.t + dt
-    if fluxes is None:
-        fluxes = mass_fluxes(mesh, state.u, rho_tilde)
-    if stiffness is None:
-        stiffness = ops.viscous_stiffness(mesh, config.mu)
     C = ops.convection_matrix(mesh, fluxes, config.convection)
     m_new = np.repeat(mesh.diamond_volumes * rho_tilde, 2) / dt
     plan = mesh.cached("momentum_plan", lambda mesh: _momentum_plan(mesh, stiffness, C))
@@ -283,17 +269,14 @@ def predict_velocity(mesh, state, rho_tilde, p_tilde, config,
     vals += stiffness.data
     (inner, inner_from), (outer, outer_from) = plan.blocks
 
-    if rho_edge_n is None:
-        rho_edge_n = ops.edge_density(mesh, state.rho)
     rhs = (mesh.diamond_volumes * rho_edge_n)[:, None] / dt * state.u
     rhs -= ops.gradient(mesh, p_tilde)
-    rhs += config.forcing(mesh, t_next)
+    rhs += config.forcing(mesh, state.t + dt)
     rhs = rhs.ravel()
 
-    bc = config.bc(mesh, t_next) if bc_next is None else bc_next
     idof = plan.idof
     A_ii = inner.fill(vals[inner_from])
-    rhs_i = rhs[idof] - outer.fill(vals[outer_from]) @ bc.ravel()[plan.bdof]
+    rhs_i = rhs[idof] - outer.fill(vals[outer_from]) @ bc_next.ravel()[plan.bdof]
     precond = None
     if idof.size:
         # the sine-transform inverse of mean mass + viscous part pays off
@@ -306,7 +289,7 @@ def predict_velocity(mesh, state, rho_tilde, p_tilde, config,
                                    precond=precond)
     except LinearSolverError as err:
         raise SchemeError(f"momentum solve failed: {err}", err.history) from err
-    u_tilde = bc.copy()
+    u_tilde = bc_next.copy()
     flat = u_tilde.ravel()
     flat[idof] = x
     return u_tilde, report
@@ -396,7 +379,7 @@ def projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, config):
 
     if np.any(rho_k <= 0.0):
         raise SchemeError(f"projection produced nonpositive density (min {rho_k.min():.3e})")
-    return u_k, p_k, rho_k, ProjectionReport(k, res_rel, history, cg_iterations)
+    return u_k, p_k, rho_k, ProjectionReport(k, res_rel, cg_iterations)
 
 
 # ----------------------------------------------------------------------
@@ -410,7 +393,7 @@ def renormalize_velocity(mesh, u_bar, rho_new, rho_tilde, bc_next):
     boundary rows are reset to the prescribed data.
     """
     rho_edge_new = ops.edge_density(mesh, rho_new)
-    u_new = np.asarray(bc_next, dtype=float).copy()
+    u_new = bc_next.copy()
     internal = mesh.interior_edges
     factor = np.sqrt(rho_tilde[internal] / rho_edge_new[internal])
     u_new[internal] = factor[:, None] * u_bar[internal]
@@ -419,43 +402,6 @@ def renormalize_velocity(mesh, u_bar, rho_new, rho_tilde, bc_next):
 
 # ----------------------------------------------------------------------
 # one full step
-
-def advance(mesh, state, config, stiffness=None):
-    """Run steps 1-5 once; returns the new state and a step report.
-
-    Fields that several stages share (the old edge density, the sub-edge
-    velocity coefficients and the boundary data at the new time) are
-    computed once here and handed to the stages.
-    """
-    rho_edge_n = ops.edge_density(mesh, state.rho)
-    coeffs = ops.subedge_velocity_coeffs(mesh, state.u)
-    bc_next = config.bc(mesh, state.t + config.dt)
-    rho_tilde, rep1 = predict_density(mesh, state, config, rho_edge_n=rho_edge_n,
-                                      coeffs=coeffs)
-    fluxes = mass_fluxes(mesh, state.u, rho_tilde, coeffs=coeffs)
-    p_tilde, rep2 = renormalize_pressure(mesh, state, rho_tilde, config)
-    u_tilde, rep3 = predict_velocity(mesh, state, rho_tilde, p_tilde, config,
-                                     fluxes=fluxes, stiffness=stiffness,
-                                     rho_edge_n=rho_edge_n, bc_next=bc_next)
-    u_bar, p_new, rho_new, proj = projection_step(
-        mesh, state, rho_tilde, p_tilde, u_tilde, config)
-    u_new = renormalize_velocity(mesh, u_bar, rho_new, rho_tilde, bc_next)
-    new_state = SchemeState(state.t + config.dt, u_new, p_new, rho_new, rho_tilde)
-    report = StepReport(
-        u_tilde=u_tilde,
-        rho_edge_n=rho_edge_n,
-        fluxes=fluxes,
-        inner_iterations=proj.iterations,
-        mass_residual=proj.mass_residual,
-        solver_iterations={
-            "density": rep1.iterations,
-            "renorm": rep2.iterations,
-            "momentum": rep3.iterations,
-            "projection": proj.solver_iterations,
-        },
-    )
-    return new_state, report
-
 
 class Stepper:
     """Caches the mesh-dependent immutable operators across steps."""
@@ -466,7 +412,29 @@ class Stepper:
         self.stiffness = ops.viscous_stiffness(mesh, config.mu)
 
     def step(self, state):
-        return advance(self.mesh, state, self.config, stiffness=self.stiffness)
+        """Run steps 1-5 once; returns the new state and a step report.
+
+        The fields several stages share (the old edge density, the sub-edge
+        velocity coefficients, the mass fluxes and the boundary data at the
+        new time) are computed once here; the stages require them.
+        """
+        mesh, config = self.mesh, self.config
+        rho_edge_n = ops.edge_density(mesh, state.rho)
+        coeffs = ops.subedge_velocity_coeffs(mesh, state.u)
+        bc_next = config.bc(mesh, state.t + config.dt)
+        rho_tilde, rep1 = predict_density(mesh, state, config, rho_edge_n, coeffs)
+        fluxes = mass_fluxes(mesh, coeffs, rho_tilde)
+        p_tilde, rep2 = renormalize_pressure(mesh, state, rho_tilde, config)
+        u_tilde, rep3 = predict_velocity(mesh, state, rho_tilde, p_tilde, config,
+                                         fluxes, self.stiffness, rho_edge_n, bc_next)
+        u_bar, p_new, rho_new, proj = projection_step(
+            mesh, state, rho_tilde, p_tilde, u_tilde, config)
+        u_new = renormalize_velocity(mesh, u_bar, rho_new, rho_tilde, bc_next)
+        new_state = SchemeState(state.t + config.dt, u_new, p_new, rho_new, rho_tilde)
+        return new_state, StepReport(
+            u_tilde=u_tilde, inner_iterations=proj.iterations, mass_residual=proj.mass_residual,
+            solver_iterations={"density": rep1.iterations, "renorm": rep2.iterations,
+                               "momentum": rep3.iterations, "projection": proj.solver_iterations})
 
     def run(self, state, nsteps, on_step=None):
         """Advance nsteps; on_step(step_index, state, report) per step."""

@@ -5,10 +5,11 @@ pressure operator as an explicit matrix product, the sub-edge geometry
 and the viscous stiffness built cell by cell, and fresh COO assemblies of
 every matrix the stepper refills on a fixed pattern.  They are written
 independently of the library's per-slot constants and cached patterns so
-the tests can compare the two routes entry by entry.  The last section
-holds the spatial convergence measurement: smooth-flow runs with their
-O(dt) error extrapolated away, and an upwind transport solve to compare
-them with.
+the tests can compare the two routes entry by entry.  The inputs that
+`Stepper.step` computes once and hands to the stages come next, for tests
+that call the stages one at a time.  The last section holds the spatial
+convergence measurement: smooth-flow runs with their O(dt) error
+extrapolated away, and an upwind transport solve to compare them with.
 """
 
 import functools
@@ -18,6 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from baropc import operators as ops
+from baropc import scheme as sch
 from baropc import verification as ver
 from baropc.mesh import BOTTOM, LEFT, RIGHT, TOP, build_rect_mesh
 from baropc.operators import FieldError
@@ -219,6 +221,31 @@ def momentum_coo(mesh, rho_tilde, dt, fluxes, mode, stiffness):
     inner[2 * mesh.interior_edges + 1] = True
     idof, bdof = np.nonzero(inner)[0], np.nonzero(~inner)[0]
     return A[idof][:, idof], A[idof][:, bdof]
+
+
+# ----------------------------------------------------------------------
+# the stages' shared inputs, from the operators Stepper.step uses
+
+def density_inputs(mesh, state):
+    """The old edge density and the sub-edge velocity coefficients."""
+    return ops.edge_density(mesh, state.rho), ops.subedge_velocity_coeffs(mesh, state.u)
+
+
+def momentum_inputs(mesh, state, config, rho_tilde):
+    """The mass fluxes, the viscous stiffness, the old edge density and the
+    boundary data at the new time, in `predict_velocity`'s order."""
+    rho_edge_n, coeffs = density_inputs(mesh, state)
+    return (sch.mass_fluxes(mesh, coeffs, rho_tilde), ops.viscous_stiffness(mesh, config.mu),
+            rho_edge_n, config.bc(mesh, state.t + config.dt))
+
+
+def predict(mesh, state, config):
+    """Steps 1-3 of one step: (rho_tilde, p_tilde, u_tilde)."""
+    rho_tilde, _ = sch.predict_density(mesh, state, config, *density_inputs(mesh, state))
+    p_tilde, _ = sch.renormalize_pressure(mesh, state, rho_tilde, config)
+    u_tilde, _ = sch.predict_velocity(mesh, state, rho_tilde, p_tilde, config,
+                                      *momentum_inputs(mesh, state, config, rho_tilde))
+    return rho_tilde, p_tilde, u_tilde
 
 
 # ----------------------------------------------------------------------

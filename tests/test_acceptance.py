@@ -158,9 +158,7 @@ def test_criterion_5_pressure_work_margins_on_projections():
         state = sch.SchemeState(0.0, zero_boundary_velocity(mesh, rng, 0.25),
                                 eos.pressure(rho), rho,
                                 ops.edge_density(mesh, rho))
-        rho_tilde, _ = sch.predict_density(mesh, state, cfg)
-        p_tilde, _ = sch.renormalize_pressure(mesh, state, rho_tilde, cfg)
-        u_tilde, _ = sch.predict_velocity(mesh, state, rho_tilde, p_tilde, cfg)
+        rho_tilde, p_tilde, u_tilde = oracles.predict(mesh, state, cfg)
         u_bar, p_new, rho_new, _ = sch.projection_step(
             mesh, state, rho_tilde, p_tilde, u_tilde, cfg)
         margin, scale = diag.pressure_work_margin(

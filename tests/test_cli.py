@@ -292,3 +292,20 @@ def test_convergence_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, thr
     assert err.startswith("config error: BAROPC_THREADS must be a positive integer")
     assert repr(threads) in err
     assert not (tmp_path / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize("flags, key, value", [
+    (["--steps", "-3"], "'steps'", "-3"),
+    (["--steps", "0"], "'steps'", "0"),
+    (["--lin-maxit", "0"], "'lin_maxit'", "0"),
+    (["--lin-maxit", "-5"], "'lin_maxit'", "-5"),
+    (["--seed", "-1"], "'seed'", "-1"),
+    (["--t-end", "0.4", "--dt", "1.0"], "'t_end' = 0.4", "0 steps"),
+])
+def test_stability_rejects_bad_integers_and_no_steps(tmp_path, capsys, flags, key, value):
+    rc = main(["stability", "--mesh", "4x4", "--outdir", str(tmp_path), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert key in err and value in err
+    assert not (tmp_path / "ledger.csv").exists()

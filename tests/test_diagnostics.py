@@ -9,6 +9,7 @@ from baropc import scheme as sch
 from baropc.linsolve import SolverConfig
 
 from conftest import smooth_cell_field, zero_boundary_velocity
+import oracles
 
 
 def random_transport_instance(rng, mode, nvol=30, nedge=60):
@@ -122,9 +123,7 @@ def test_pressure_work_margin_on_projection_outputs(rng):
             state = sch.SchemeState(0.0, zero_boundary_velocity(mesh, rng, 0.25),
                                     eos.pressure(rho), rho,
                                     ops.edge_density(mesh, rho))
-            rho_tilde, _ = sch.predict_density(mesh, state, cfg)
-            p_tilde, _ = sch.renormalize_pressure(mesh, state, rho_tilde, cfg)
-            u_tilde, _ = sch.predict_velocity(mesh, state, rho_tilde, p_tilde, cfg)
+            rho_tilde, p_tilde, u_tilde = oracles.predict(mesh, state, cfg)
             u_bar, p_new, rho_new, _ = sch.projection_step(
                 mesh, state, rho_tilde, p_tilde, u_tilde, cfg)
             margin, scale = diag.pressure_work_margin(
@@ -165,7 +164,8 @@ def test_ledger_entry_values():
     rho = np.ones(mesh.ncells)
     state = sch.SchemeState(0.0, np.zeros((mesh.nedges, 2)), eos.pressure(rho),
                             rho, np.ones(mesh.nedges))
-    row = diag.ledger_entry(mesh, state, np.zeros((mesh.nedges, 2)), cfg)
+    row = diag.ledger_entry(mesh, state, np.zeros((mesh.nedges, 2)), cfg,
+                            ops.viscous_stiffness(mesh, cfg.mu))
     assert row["kinetic"] == 0.0
     assert row["elastic"] == pytest.approx(2.0 * 2.5, rel=1e-13)   # |Omega| P(1)
     assert row["psem"] == 0.0                                       # constant p

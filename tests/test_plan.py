@@ -88,8 +88,8 @@ def test_refilled_matrices_equal_fresh_assembly(monkeypatch, rng, nx, ny, domain
 
     # density prediction: the Schur complement of the upwind diamond system
     # on the vertical diamonds, applied without being formed
-    a = ops.subedge_velocity_coeffs(mesh, state.u)
-    rho_tilde, _ = sch.predict_density(mesh, state, config)
+    rho_edge, a = oracles.density_inputs(mesh, state)
+    rho_tilde, _ = sch.predict_density(mesh, state, config, rho_edge, a)
     S_density, _ = bicgstab[0]
     expect = schur_on_vertical(mesh, oracles.density_matrix_coo(mesh, a, config.dt, state.u))
     got = np.column_stack([S_density @ e for e in np.eye(mesh.n_vertical)])
@@ -97,12 +97,12 @@ def test_refilled_matrices_equal_fresh_assembly(monkeypatch, rng, nx, ny, domain
     np.testing.assert_array_equal(S_density.diagonal(), np.diag(got))
 
     # convection and the momentum blocks on the stiffness pattern
-    fluxes = sch.mass_fluxes(mesh, state.u, rho_tilde)
+    fluxes = sch.mass_fluxes(mesh, a, rho_tilde)
     assert_same_matrix(ops.convection_matrix(mesh, fluxes, mode),
                        oracles.convection_coo(mesh, fluxes, mode))
     p_tilde, _ = sch.renormalize_pressure(mesh, state, rho_tilde, config)
     u_tilde, _ = sch.predict_velocity(mesh, state, rho_tilde, p_tilde, config,
-                                      stiffness=stiffness)
+                                      fluxes, stiffness, rho_edge, bc)
     A_ii, b_i = bicgstab[1]
     expect_ii, expect_ib = oracles.momentum_coo(mesh, rho_tilde, config.dt, fluxes,
                                                 mode, stiffness)
@@ -207,10 +207,9 @@ def test_reduced_density_solve_halves_the_bicgstab_count():
     eos = PowerLaw(1.4)
     config = sch.SchemeConfig(dt=1.0, mu=1e-2, eos=eos)
     state = perturbed_initial_state(mesh, eos, 0)
-    _, reduced = sch.predict_density(mesh, state, config)
-    rho_edge = ops.edge_density(mesh, state.rho)
-    A = oracles.density_matrix_coo(mesh, ops.subedge_velocity_coeffs(mesh, state.u),
-                                   config.dt, state.u)
+    rho_edge, a = oracles.density_inputs(mesh, state)
+    _, reduced = sch.predict_density(mesh, state, config, rho_edge, a)
+    A = oracles.density_matrix_coo(mesh, a, config.dt, state.u)
     b = mesh.diamond_volumes / config.dt * rho_edge
     _, full = bicgstab_solve(A, b, config.lin, x0=rho_edge)
     assert reduced.iterations <= 0.6 * full.iterations, (reduced.iterations, full.iterations)
@@ -246,6 +245,37 @@ def test_boundary_data_matches_pointwise_edge_means():
         got = bc(mesh, t)
         np.testing.assert_array_equal(
             got, ops.edge_mean(mesh, lambda pts: case.velocity(np.array(pts), t)))
+
+
+def test_step_computes_shared_fields_once(monkeypatch):
+    """A step computes the fields its stages share once: the old edge
+    density (the second edge density is the new one, in the velocity
+    renormalization), the sub-edge velocity coefficients, the boundary data
+    and the forcing at the new time; the viscous stiffness is the Stepper's."""
+    case = ver.SmoothFlowCase()
+    mesh = build_rect_mesh(8, 8, case.domain)
+    config = ver.make_config(case, 0.025)
+    stepper = sch.Stepper(mesh, config)
+    state = ver.initial_exact_state(case, mesh)
+    calls = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+    for name in ("edge_density", "subedge_velocity_coeffs", "viscous_stiffness"):
+        count(ops, name)
+    for name in ("bc", "forcing"):
+        count(config, name)
+    for _ in range(3):
+        calls.update(edge_density=0, subedge_velocity_coeffs=0, viscous_stiffness=0,
+                     bc=0, forcing=0)
+        state, _ = stepper.step(state)
+        assert calls == {"edge_density": 2, "subedge_velocity_coeffs": 1,
+                         "viscous_stiffness": 0, "bc": 1, "forcing": 1}
 
 
 def test_interleaved_meshes_match_fresh_runs():
@@ -447,9 +477,7 @@ def test_momentum_solve_keeps_jacobi_unless_viscosity_dominates(monkeypatch, rng
         calls.append((A, b, x0, precond, x))
         return x, report
     monkeypatch.setattr(sch, "bicgstab_solve", recording)
-    rho_tilde, _ = sch.predict_density(mesh, state, config)
-    p_tilde, _ = sch.renormalize_pressure(mesh, state, rho_tilde, config)
-    sch.predict_velocity(mesh, state, rho_tilde, p_tilde, config)
+    oracles.predict(mesh, state, config)
     A, b, x0, precond, x = calls[-1]
     assert (precond is not None) == transform
     minv = 1.0 / A.diagonal()

@@ -12,11 +12,12 @@ from baropc import operators as ops
 from baropc import scheme as sch
 from baropc.cli import perturbed_initial_state
 from baropc.scheme import (SchemeConfig, SchemeError, SchemeState, Stepper,
-                           advance, initial_state, mass_fluxes, predict_density,
+                           initial_state, mass_fluxes, predict_density,
                            predict_velocity, projection_step,
                            renormalize_pressure, renormalize_velocity)
 
 from conftest import smooth_cell_field, zero_boundary_velocity
+import oracles
 
 
 def tight_config(eos, dt=0.1, mu=1e-2, **kw):
@@ -71,7 +72,8 @@ def test_predict_density_at_rest_returns_edge_average(rng):
     eos = AffineLaw()
     state = random_state(mesh, eos, rng, u_amp=0.0)
     state.u[:] = 0.0
-    rho_tilde, _ = predict_density(mesh, state, tight_config(eos))
+    rho_tilde, _ = predict_density(mesh, state, tight_config(eos),
+                                   *oracles.density_inputs(mesh, state))
     np.testing.assert_allclose(rho_tilde, ops.edge_density(mesh, state.rho),
                                rtol=1e-12)
 
@@ -83,7 +85,8 @@ def test_predict_density_conserves_diamond_mass(rng):
         for dt in (0.3, 10.0, 1000.0):
             for _ in range(5):
                 state = random_state(mesh, eos, rng)
-                rho_tilde, _ = predict_density(mesh, state, tight_config(eos, dt=dt))
+                rho_tilde, _ = predict_density(mesh, state, tight_config(eos, dt=dt),
+                                               *oracles.density_inputs(mesh, state))
                 assert mesh.diamond_volumes @ rho_tilde == pytest.approx(
                     mesh.cell_volumes @ state.rho, rel=1e-11)
                 assert rho_tilde.min() > 0.0
@@ -136,7 +139,7 @@ def test_predict_density_dense_oracle(rng):
         state = SchemeState(0.0, u, eos.pressure(rho), rho, ops.edge_density(mesh, rho))
         A, b = dense_density_system(mesh, rho, u, dt)
         config = tight_config(eos, dt=dt)
-        got, _ = predict_density(mesh, state, config)
+        got, _ = predict_density(mesh, state, config, *oracles.density_inputs(mesh, state))
         lin = config.lin
         assert np.linalg.norm(A @ got - b) <= max(lin.rel_tol * np.linalg.norm(b), lin.abs_tol)
         np.testing.assert_allclose(got, np.linalg.solve(A, b), rtol=1e-10)
@@ -149,12 +152,12 @@ def test_mass_fluxes_satisfy_diamond_balance(rng):
     eos = AffineLaw()
     state = random_state(mesh, eos, rng)
     dt = 0.15
-    rho_tilde, _ = predict_density(mesh, state, tight_config(eos, dt=dt))
-    F = mass_fluxes(mesh, state.u, rho_tilde)
+    rho_edge, coeffs = oracles.density_inputs(mesh, state)
+    rho_tilde, _ = predict_density(mesh, state, tight_config(eos, dt=dt), rho_edge, coeffs)
+    F = mass_fluxes(mesh, coeffs, rho_tilde)
     total = np.zeros(mesh.nedges)
     np.add.at(total, mesh.sub_pair[:, 0], F)
     np.add.at(total, mesh.sub_pair[:, 1], -F)
-    rho_edge = ops.edge_density(mesh, state.rho)
     internal = mesh.interior_edges
     expect = -mesh.diamond_volumes[internal] * (rho_tilde - rho_edge)[internal] / dt
     scale = np.abs(total[internal]).max() + np.abs(expect).max() + 1e-30
@@ -169,9 +172,9 @@ def test_convection_constant_identity_after_prediction(rng):
     state = random_state(mesh, eos, rng)
     dt = 0.15
     cfg = tight_config(eos, dt=dt)
-    rho_tilde, _ = predict_density(mesh, state, cfg)
-    F = mass_fluxes(mesh, state.u, rho_tilde)
-    rho_edge = ops.edge_density(mesh, state.rho)
+    rho_edge, coeffs = oracles.density_inputs(mesh, state)
+    rho_tilde, _ = predict_density(mesh, state, cfg, rho_edge, coeffs)
+    F = mass_fluxes(mesh, coeffs, rho_tilde)
     z = 0.7
     for mode in ("centered", "upwind"):
         C = ops.convection_matrix(mesh, F, mode)
@@ -268,8 +271,9 @@ def test_predict_velocity_trivial_zero(rng):
     state = equilibrium_state(mesh, eos)
     state.p[:] = 1.1                                   # constant pressure
     rho_tilde = np.ones(mesh.nedges)
-    u_tilde, _ = predict_velocity(mesh, state, rho_tilde, state.p,
-                                  tight_config(eos))
+    cfg = tight_config(eos)
+    u_tilde, _ = predict_velocity(mesh, state, rho_tilde, state.p, cfg,
+                                  *oracles.momentum_inputs(mesh, state, cfg, rho_tilde))
     np.testing.assert_allclose(u_tilde, 0.0, atol=1e-13)
 
 
@@ -285,9 +289,8 @@ def test_predict_velocity_two_cell_hand_oracle(rng):
     rho_tilde = rng.uniform(0.7, 1.5, mesh.nedges)
     p_tilde = rng.normal(size=2)
     cfg = tight_config(eos, dt=dt, mu=mu)
-    fluxes = mass_fluxes(mesh, state.u, rho_tilde)
-    u_tilde, _ = predict_velocity(mesh, state, rho_tilde, p_tilde, cfg,
-                                  fluxes=fluxes)
+    fluxes, *shared = oracles.momentum_inputs(mesh, state, cfg, rho_tilde)
+    u_tilde, _ = predict_velocity(mesh, state, rho_tilde, p_tilde, cfg, fluxes, *shared)
 
     sig = mesh.interior_edges[0]
     # dense-quadrature broken stiffness for the vector shapes of sig
@@ -334,15 +337,11 @@ def test_predict_velocity_kinetic_energy_inequality(rng):
             dt = float(rng.uniform(0.05, 1.0))
             cfg = tight_config(eos, dt=dt, convection=mode)
             state = random_state(mesh, eos, rng)
-            rho_tilde, _ = predict_density(mesh, state, cfg)
-            fluxes = mass_fluxes(mesh, state.u, rho_tilde)
-            p_tilde, _ = renormalize_pressure(mesh, state, rho_tilde, cfg)
-            u_tilde, _ = predict_velocity(mesh, state, rho_tilde, p_tilde, cfg,
-                                          fluxes=fluxes)
+            rho_tilde, p_tilde, u_tilde = oracles.predict(mesh, state, cfg)
             rho_edge = ops.edge_density(mesh, state.rho)
             k_new = diag.kinetic_energy(mesh, u_tilde, rho_tilde)
             k_old = diag.kinetic_energy(mesh, state.u, rho_edge)
-            visc = dt * diag.viscous_dissipation(mesh, u_tilde, cfg.mu)
+            visc = dt * diag.viscous_dissipation(u_tilde, ops.viscous_stiffness(mesh, cfg.mu))
             pwork = dt * np.sum(ops.gradient(mesh, p_tilde) * u_tilde)
             lhs = k_new - k_old + visc + pwork
             scale = k_new + k_old + visc + abs(pwork) + 1e-30
@@ -371,9 +370,7 @@ def test_projection_conserves_mass_and_positivity(rng):
         cfg = tight_config(eos, dt=0.2)
         for _ in range(3):
             state = random_state(mesh, eos, rng, amp=0.25, u_amp=0.25)
-            rho_tilde, _ = predict_density(mesh, state, cfg)
-            p_tilde, _ = renormalize_pressure(mesh, state, rho_tilde, cfg)
-            u_tilde, _ = predict_velocity(mesh, state, rho_tilde, p_tilde, cfg)
+            rho_tilde, p_tilde, u_tilde = oracles.predict(mesh, state, cfg)
             u_bar, p_new, rho_new, report = projection_step(
                 mesh, state, rho_tilde, p_tilde, u_tilde, cfg)
             assert mesh.cell_volumes @ rho_new == pytest.approx(
@@ -390,9 +387,7 @@ def test_projection_velocity_update_relation(rng):
     eos = AffineLaw()
     cfg = tight_config(eos, dt=0.3)
     state = random_state(mesh, eos, rng)
-    rho_tilde, _ = predict_density(mesh, state, cfg)
-    p_tilde, _ = renormalize_pressure(mesh, state, rho_tilde, cfg)
-    u_tilde, _ = predict_velocity(mesh, state, rho_tilde, p_tilde, cfg)
+    rho_tilde, p_tilde, u_tilde = oracles.predict(mesh, state, cfg)
     u_bar, p_new, _, _ = projection_step(mesh, state, rho_tilde, p_tilde,
                                          u_tilde, cfg)
     internal = mesh.interior_edges
@@ -409,9 +404,7 @@ def test_projection_nonconvergence_raises():
                        lin=SolverConfig(rel_tol=1e-12))
     rng = np.random.default_rng(0)
     state = random_state(mesh, eos, rng)
-    rho_tilde, _ = predict_density(mesh, state, cfg)
-    p_tilde, _ = renormalize_pressure(mesh, state, rho_tilde, cfg)
-    u_tilde, _ = predict_velocity(mesh, state, rho_tilde, p_tilde, cfg)
+    rho_tilde, p_tilde, u_tilde = oracles.predict(mesh, state, cfg)
     with pytest.raises(SchemeError) as err:
         projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, cfg)
     assert err.value.history
@@ -427,9 +420,7 @@ def test_projection_evaluates_each_iterate_once(monkeypatch, rng):
     eos = PowerLaw(1.4)
     cfg = tight_config(eos, dt=0.5)
     state = random_state(mesh, eos, rng)
-    rho_tilde, _ = predict_density(mesh, state, cfg)
-    p_tilde, _ = renormalize_pressure(mesh, state, rho_tilde, cfg)
-    u_tilde, _ = predict_velocity(mesh, state, rho_tilde, p_tilde, cfg)
+    rho_tilde, p_tilde, u_tilde = oracles.predict(mesh, state, cfg)
     calls = {"rho": 0, "upwind": 0}
 
     def counted(key, fn):
@@ -449,9 +440,7 @@ def project_at_dt_1000(eos, seed):
     cfg = SchemeConfig(dt=1000.0, mu=1e-2, eos=eos,
                        lin=SolverConfig(rel_tol=1e-10, abs_tol=1e-14))
     state = random_state(mesh, eos, np.random.default_rng(seed))
-    rho_tilde, _ = predict_density(mesh, state, cfg)
-    p_tilde, _ = renormalize_pressure(mesh, state, rho_tilde, cfg)
-    u_tilde, _ = predict_velocity(mesh, state, rho_tilde, p_tilde, cfg)
+    rho_tilde, p_tilde, u_tilde = oracles.predict(mesh, state, cfg)
     *_, report = projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, cfg)
     return cfg, report
 
@@ -561,7 +550,7 @@ def test_advance_equilibrium_is_steady():
     mesh = build_rect_mesh(4, 4)
     for eos in (AffineLaw(), PowerLaw(1.4)):
         state = equilibrium_state(mesh, eos)
-        new, report = advance(mesh, state, tight_config(eos, dt=0.5))
+        new, report = Stepper(mesh, tight_config(eos, dt=0.5)).step(state)
         np.testing.assert_allclose(new.u, 0.0, atol=1e-12)
         np.testing.assert_allclose(new.rho, 1.0, rtol=1e-12)
         np.testing.assert_allclose(new.p, state.p, atol=1e-12)
