@@ -24,8 +24,8 @@ from .linsolve import SolverConfig
 from .mesh import build_rect_mesh
 from .scheme import SchemeConfig, SchemeError, Stepper, initial_state
 from .verification import (SmoothFlowCase, convergence_study, error_norms,
-                           initial_exact_state, make_config, study_workers,
-                           write_convergence_csv)
+                           initial_exact_state, make_config, step_count,
+                           study_workers, write_convergence_csv)
 
 
 class ConfigError(ValueError):
@@ -147,19 +147,34 @@ def parse_config(command, path=None, overrides=None):
         command=command, **{key: _parse_value(key, *raw[key]) for key in _KEYS})
 
 
-_ROWS = 4096        # rows per formatted block: bounds the temporary Python floats
+_ROWS = 4096        # rows per formatted block: bounds the temporary Python objects
+
+
+def _formatted(column):
+    """The "%.17g" text of each value as shared references, formatted once per
+    distinct bit pattern (not per value: 0.0 and -0.0 print differently)."""
+    bits, rows = np.unique(column.view(np.int64), return_inverse=True)
+    return np.array(["%.17g" % v for v in bits.view(np.float64)], dtype=object)[rows]
 
 
 def _write_fields_csv(path, mesh, state):
     with open(path, "w") as fh:
         fh.write("kind,x,y,rho,p,u1,u2\n")
-        for row, table in (
-                ("cell,%.17g,%.17g,%.17g,%.17g,,\n",
-                 np.column_stack([mesh.cell_centroids, state.rho, state.p])),
-                ("edge,%.17g,%.17g,,,%.17g,%.17g\n",
-                 np.column_stack([mesh.edge_midpoints, state.u]))):
-            for i in range(0, len(table), _ROWS):
-                fh.write("".join(row % tuple(r) for r in table[i:i + _ROWS].tolist()))
+        for row, points, values in (
+                ("cell,%s,%s,%.17g,%.17g,,\n", mesh.cell_centroids,
+                 np.column_stack([state.rho, state.p])),
+                ("edge,%s,%s,,,%.17g,%.17g\n", mesh.edge_midpoints, state.u)):
+            x, y = _formatted(points[:, 0]), _formatted(points[:, 1])
+            for i in range(0, len(values), _ROWS):
+                block = np.column_stack([x[i:i + _ROWS], y[i:i + _ROWS], values[i:i + _ROWS]])
+                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _step_count(t_end, dt):
+    try:
+        return step_count(t_end, dt)
+    except ValueError as err:
+        raise ConfigError(str(err))
 
 
 def _advance_with_ledger(mesh, config, state, nsteps, outdir):
@@ -191,7 +206,7 @@ def _cmd_simulate(cfg):
                          proj_eps=cfg.proj_eps, convection=cfg.convection,
                          alpha=cfg.alpha)
     state, _ = _advance_with_ledger(mesh, config, initial_exact_state(case, mesh),
-                                    int(round(cfg.t_end / cfg.dt)), cfg.outdir)
+                                    _step_count(cfg.t_end, cfg.dt), cfg.outdir)
     _write_fields_csv(os.path.join(cfg.outdir, "fields.csv"), mesh, state)
     err_v, err_p = error_norms(mesh, state, case)
     print(f"simulate: {nx}x{ny}, dt={cfg.dt}, t_end={state.t}")
@@ -207,6 +222,8 @@ def _cmd_convergence(cfg):
     case = SmoothFlowCase(gamma=cfg.gamma, mach=cfg.mach, mu=cfg.mu)
     meshes = cfg.mesh_list or [cfg.mesh]
     dts = cfg.dt_list or [0.1, 0.05, 0.025, 0.0125]
+    for dt in dts:
+        _step_count(cfg.t_end, dt)
     rows, orders = convergence_study(
         meshes, dts, t_end=cfg.t_end, case=case, domain=cfg.domain,
         lin_tol=cfg.lin_tol, proj_eps=cfg.proj_eps, convection=cfg.convection,

@@ -205,15 +205,22 @@ def initial_exact_state(case, mesh):
                          lambda x: case.velocity(_at_fixed_points(case, mesh, x), 0.0))
 
 
+def step_count(t_end, dt):
+    """Number of steps of `dt` to t_end; ValueError unless it is >= 1 and
+    lands on t_end to 1e-9 relative."""
+    nsteps = int(round(t_end / dt))
+    if nsteps < 1 or abs(nsteps * dt - t_end) > 1e-9 * max(t_end, dt):
+        raise ValueError(f"t_end {t_end} is not a positive multiple of dt {dt}")
+    return nsteps
+
+
 def run_smooth_flow(mesh, dt, t_end=0.5, case=None, **config_kwargs):
     """Advance the exact-flow problem to t_end; returns (state, info).
 
     info carries the error norms at t_end and inner-iteration counts.
     """
     case = case or SmoothFlowCase()
-    nsteps = int(round(t_end / dt))
-    if abs(nsteps * dt - t_end) > 1e-9 * max(t_end, dt):
-        raise ValueError(f"t_end {t_end} is not a multiple of dt {dt}")
+    nsteps = step_count(t_end, dt)
     config = make_config(case, dt, **config_kwargs)
     state = initial_exact_state(case, mesh)
     stepper = Stepper(mesh, config)

@@ -250,19 +250,62 @@ def test_fields_csv_matches_per_value_formatting(tmp_path, rng):
     state.u[:2, 0] = (-0.0, 0.0)
     assert mesh.ncells > cli._ROWS and mesh.nedges > 2 * cli._ROWS
     cli._write_fields_csv(tmp_path / "fields.csv", mesh, state)
+    assert (tmp_path / "fields.csv").read_text() == _fields_reference(mesh, state)
+
+
+def test_fields_csv_formats_each_coordinate_bit_pattern(tmp_path, rng):
+    # coordinates repeat across blocks, and 0.0 sits beside -0.0: the
+    # writer formats each distinct coordinate once, so it must tell them apart
+    coords = np.array([0.0, -0.0, 0.5, -1e-300, 1.0 / 3.0, 2.0 ** -1074])
+    n = 2 * cli._ROWS + 3
+    mesh = SimpleNamespace(cell_centroids=rng.choice(coords, size=(n, 2)),
+                           edge_midpoints=rng.choice(coords, size=(n + 5, 2)))
+    for points in (mesh.cell_centroids, mesh.edge_midpoints):
+        points[:2] = [[0.0, -0.0], [-0.0, 0.0]]
+    state = SimpleNamespace(rho=rng.uniform(0.5, 2.0, n), p=rng.normal(size=n),
+                            u=rng.normal(size=(n + 5, 2)))
+    cli._write_fields_csv(tmp_path / "fields.csv", mesh, state)
+    assert (tmp_path / "fields.csv").read_text() == _fields_reference(mesh, state)
+
+
+def _fields_reference(mesh, state):
+    """fields.csv formatted one value at a time."""
     f = lambda v: format(float(v), ".17g")
     ref = ["kind,x,y,rho,p,u1,u2"]
     ref += [f"cell,{f(x)},{f(y)},{f(r)},{f(p)},," for (x, y), r, p
             in zip(mesh.cell_centroids, state.rho, state.p)]
     ref += [f"edge,{f(x)},{f(y)},,,{f(u1)},{f(u2)}" for (x, y), (u1, u2)
             in zip(mesh.edge_midpoints, state.u)]
-    assert (tmp_path / "fields.csv").read_text() == "\n".join(ref) + "\n"
+    return "\n".join(ref) + "\n"
 
 
 def test_simulate_rejects_non_affine_eos(capsys):
     rc = main(["simulate", "--mesh", "4x4", "--eos", "power"])
     assert rc == 2
     assert "affine" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, t_end, dt", [
+    (["convergence", "--dt-list", "0.3;0.15", "--t-end", "0.5"], "0.5", "0.3"),
+    (["simulate", "--dt", "0.025", "--t-end", "0.01"], "0.01", "0.025"),
+    (["simulate", "--dt", "0.03", "--t-end", "0.1"], "0.1", "0.03"),
+    (["simulate", "--dt", "0.025", "--t-end", "1e-12"], "1e-12", "0.025"),
+])
+def test_t_end_must_be_a_multiple_of_dt(tmp_path, capsys, argv, t_end, dt):
+    rc = main([*argv, "--mesh", "4x4", "--outdir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"t_end {t_end}" in err and f"dt {dt}" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_steps_to_a_multiple_of_dt(tmp_path, capsys):
+    rc = main(["simulate", "--mesh", "4x4", "--dt", "0.0125", "--t-end", "0.0375",
+               "--outdir", str(tmp_path)])
+    assert rc == 0
+    ledger = (tmp_path / "ledger.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in ledger[1:]] == ["0", "1", "2", "3"]
 
 
 def test_invalid_config_exit_code(capsys, tmp_path):
