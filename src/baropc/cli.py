@@ -170,11 +170,26 @@ def _write_fields_csv(path, mesh, state):
                 fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _step_count(t_end, dt):
+def _checked(fn, *args):
+    """fn(*args), with the ValueError of a bad input raised as a ConfigError."""
     try:
-        return step_count(t_end, dt)
+        return fn(*args)
     except ValueError as err:
         raise ConfigError(str(err))
+
+
+def _settings(cfg):
+    """The scheme settings of the config that every subcommand passes on."""
+    return dict(lin_tol=cfg.lin_tol, lin_maxit=cfg.lin_maxit, proj_eps=cfg.proj_eps,
+                convection=cfg.convection, alpha=cfg.alpha)
+
+
+def _smooth_case(cfg):
+    """The smooth exact-flow case of the config; it holds for the affine law only."""
+    if cfg.eos != "affine":
+        raise ConfigError(f"{cfg.command} runs the smooth exact-flow problem, "
+                          "which is tied to eos = affine")
+    return SmoothFlowCase(gamma=cfg.gamma, mach=cfg.mach, mu=cfg.mu)
 
 
 def _advance_with_ledger(mesh, config, state, nsteps, outdir):
@@ -196,17 +211,12 @@ def _advance_with_ledger(mesh, config, state, nsteps, outdir):
 
 
 def _cmd_simulate(cfg):
-    if cfg.eos != "affine":
-        raise ConfigError("simulate runs the smooth exact-flow problem, "
-                          "which is tied to eos = affine")
+    case = _smooth_case(cfg)
     nx, ny = cfg.mesh
-    case = SmoothFlowCase(gamma=cfg.gamma, mach=cfg.mach, mu=cfg.mu)
     mesh = build_rect_mesh(nx, ny, cfg.domain)
-    config = make_config(case, cfg.dt, lin_tol=cfg.lin_tol,
-                         proj_eps=cfg.proj_eps, convection=cfg.convection,
-                         alpha=cfg.alpha)
+    config = make_config(case, cfg.dt, **_settings(cfg))
     state, _ = _advance_with_ledger(mesh, config, initial_exact_state(case, mesh),
-                                    _step_count(cfg.t_end, cfg.dt), cfg.outdir)
+                                    _checked(step_count, cfg.t_end, cfg.dt), cfg.outdir)
     _write_fields_csv(os.path.join(cfg.outdir, "fields.csv"), mesh, state)
     err_v, err_p = error_norms(mesh, state, case)
     print(f"simulate: {nx}x{ny}, dt={cfg.dt}, t_end={state.t}")
@@ -215,19 +225,14 @@ def _cmd_simulate(cfg):
 
 
 def _cmd_convergence(cfg):
-    try:
-        study_workers()
-    except ValueError as err:
-        raise ConfigError(str(err))
-    case = SmoothFlowCase(gamma=cfg.gamma, mach=cfg.mach, mu=cfg.mu)
+    _checked(study_workers)
+    case = _smooth_case(cfg)
     meshes = cfg.mesh_list or [cfg.mesh]
     dts = cfg.dt_list or [0.1, 0.05, 0.025, 0.0125]
     for dt in dts:
-        _step_count(cfg.t_end, dt)
-    rows, orders = convergence_study(
-        meshes, dts, t_end=cfg.t_end, case=case, domain=cfg.domain,
-        lin_tol=cfg.lin_tol, proj_eps=cfg.proj_eps, convection=cfg.convection,
-        alpha=cfg.alpha)
+        _checked(step_count, cfg.t_end, dt)
+    rows, orders = convergence_study(meshes, dts, t_end=cfg.t_end, case=case,
+                                     domain=cfg.domain, **_settings(cfg))
     os.makedirs(cfg.outdir, exist_ok=True)
     write_convergence_csv(os.path.join(cfg.outdir, "convergence.csv"), rows)
     for (nx, ny), fitted in orders.items():
@@ -267,15 +272,12 @@ def perturbed_initial_state(mesh, eos, seed, rho_amp=0.3, u_max=0.5):
 
 
 def _cmd_stability(cfg):
+    eos = _checked(make_eos, cfg.eos, cfg.gamma, cfg.mach)
+    nsteps = cfg.steps if cfg.steps is not None else _checked(step_count, cfg.t_end, cfg.dt)
+    settings = _settings(cfg)
+    lin = SolverConfig(rel_tol=settings.pop("lin_tol"), max_iter=settings.pop("lin_maxit"))
+    config = SchemeConfig(dt=cfg.dt, mu=cfg.mu, eos=eos, lin=lin, **settings)
     mesh = build_rect_mesh(*cfg.mesh, cfg.domain)
-    eos = make_eos(cfg.eos, cfg.gamma, cfg.mach)
-    config = SchemeConfig(dt=cfg.dt, mu=cfg.mu, eos=eos,
-                          convection=cfg.convection, proj_eps=cfg.proj_eps, alpha=cfg.alpha,
-                          lin=SolverConfig(rel_tol=cfg.lin_tol, abs_tol=1e-14,
-                                           max_iter=cfg.lin_maxit))
-    nsteps = cfg.steps if cfg.steps is not None else int(round(cfg.t_end / cfg.dt))
-    if nsteps < 1:      # a run without steps certifies nothing
-        raise ConfigError(f"'t_end' = {cfg.t_end} over 'dt' = {cfg.dt} rounds to 0 steps")
     _, ledger = _advance_with_ledger(mesh, config, perturbed_initial_state(mesh, eos, cfg.seed),
                                      nsteps, cfg.outdir)
     ok, worst, step = diag.energy_bound_check(ledger)

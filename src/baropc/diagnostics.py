@@ -198,9 +198,7 @@ def pressure_work_margin(mesh, dt, p, rho_star, u_bar, eos, hyp_tol=1e-10):
     p = np.asarray(p, dtype=float)
     rho_star = np.asarray(rho_star, dtype=float)
     rho = eos.rho(p)
-    rho_up = ops.upwind_cell_density(mesh, rho, u_bar)
-    res = mesh.cell_volumes * (rho - rho_star) / dt
-    res += ops.divergence(mesh, rho_up[:, None] * u_bar)
+    _, res = ops.upwind_mass_balance(mesh, rho, rho_star, u_bar, dt)
     scale_h = max(np.max(mesh.cell_volumes * (rho + rho_star)) / dt, _TINY)
     if np.max(np.abs(res)) > hyp_tol * scale_h:
         raise HypothesisError(

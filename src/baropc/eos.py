@@ -14,9 +14,12 @@ class EosDomainError(ValueError):
     pass
 
 
-def _check(cond, msg):
-    if not np.all(cond):
+def _positive(x, msg):
+    """x as a float array; EosDomainError(msg) unless every entry is > 0."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > 0.0):
         raise EosDomainError(msg)
+    return x
 
 
 class PowerLaw:
@@ -30,28 +33,19 @@ class PowerLaw:
         self.gamma = float(gamma)
 
     def rho(self, p):
-        p = np.asarray(p, dtype=float)
-        _check(p > 0.0, "power law needs p > 0")
-        return p ** (1.0 / self.gamma)
+        return _positive(p, "power law needs p > 0") ** (1.0 / self.gamma)
 
     def drho_dp(self, p):
-        p = np.asarray(p, dtype=float)
-        _check(p > 0.0, "power law needs p > 0")
-        return p ** (1.0 / self.gamma - 1.0) / self.gamma
+        return _positive(p, "power law needs p > 0") ** (1.0 / self.gamma - 1.0) / self.gamma
 
     def pressure(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        _check(rho > 0.0, "density must be positive")
-        return rho ** self.gamma
+        return _positive(rho, "density must be positive") ** self.gamma
 
     def potential(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        _check(rho > 0.0, "density must be positive")
-        return rho ** (self.gamma - 1.0) / (self.gamma - 1.0)
+        return _positive(rho, "density must be positive") ** (self.gamma - 1.0) / (self.gamma - 1.0)
 
     def rho_potential_prime(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        _check(rho > 0.0, "density must be positive")
+        rho = _positive(rho, "density must be positive")
         return self.gamma / (self.gamma - 1.0) * rho ** (self.gamma - 1.0)
 
 
@@ -62,28 +56,19 @@ class LinearLaw:
     gamma = 1.0
 
     def rho(self, p):
-        p = np.asarray(p, dtype=float)
-        _check(p > 0.0, "linear law needs p > 0")
-        return p.copy()
+        return _positive(p, "linear law needs p > 0").copy()
 
     def drho_dp(self, p):
-        p = np.asarray(p, dtype=float)
-        return np.ones_like(p)
+        return np.ones_like(np.asarray(p, dtype=float))
 
     def pressure(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        _check(rho > 0.0, "density must be positive")
-        return rho.copy()
+        return _positive(rho, "density must be positive").copy()
 
     def potential(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        _check(rho > 0.0, "density must be positive")
-        return np.log(rho)
+        return np.log(_positive(rho, "density must be positive"))
 
     def rho_potential_prime(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        _check(rho > 0.0, "density must be positive")
-        return np.log(rho) + 1.0
+        return np.log(_positive(rho, "density must be positive")) + 1.0
 
 
 class AffineLaw:
@@ -104,43 +89,34 @@ class AffineLaw:
         self.coeff = self.gamma * self.mach ** 2
 
     def rho(self, p):
-        p = np.asarray(p, dtype=float)
-        r = 1.0 + self.coeff * p
-        _check(r > 0.0, "affine law needs 1 + gamma*Ma^2*p > 0")
-        return r
+        return _positive(1.0 + self.coeff * np.asarray(p, dtype=float),
+                         "affine law needs 1 + gamma*Ma^2*p > 0")
 
     def drho_dp(self, p):
-        p = np.asarray(p, dtype=float)
-        return np.full_like(p, self.coeff)
+        return np.full_like(np.asarray(p, dtype=float), self.coeff)
 
     def pressure(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        _check(rho > 0.0, "density must be positive")
-        return (rho - 1.0) / self.coeff
+        return (_positive(rho, "density must be positive") - 1.0) / self.coeff
 
     def potential(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        _check(rho > 0.0, "density must be positive")
+        rho = _positive(rho, "density must be positive")
         return (np.log(rho) + 1.0 / rho - 1.0) / self.coeff
 
     def rho_potential_prime(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        _check(rho > 0.0, "density must be positive")
-        return np.log(rho) / self.coeff
+        return np.log(_positive(rho, "density must be positive")) / self.coeff
 
 
-_KINDS = {"power": PowerLaw, "linear": LinearLaw, "affine": AffineLaw}
+# kind -> the law built from the config keys gamma and mach
+_LAWS = {"power": lambda gamma, mach: PowerLaw(gamma),
+         "linear": lambda gamma, mach: LinearLaw(),
+         "affine": AffineLaw}
 
 
 def make_eos(kind, gamma=1.4, mach=0.5):
     """Instantiate an equation of state from config keys."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown eos '{kind}', expected one of {sorted(_KINDS)}")
-    if kind == "power":
-        return PowerLaw(gamma)
-    if kind == "affine":
-        return AffineLaw(gamma, mach)
-    return LinearLaw()
+    if kind not in _LAWS:
+        raise ValueError(f"unknown eos '{kind}', expected one of {sorted(_LAWS)}")
+    return _LAWS[kind](gamma, mach)
 
 
 def tangent_mean(g, gprime, a, b):

@@ -19,10 +19,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class LinearSolverError(RuntimeError):
+class HistoryError(RuntimeError):
+    """A failure that carries the residual (or iterate) history up to it."""
+
     def __init__(self, msg, history=None):
         super().__init__(msg)
         self.history = list(history) if history is not None else []
+
+
+class LinearSolverError(HistoryError):
+    pass
 
 
 @dataclass
@@ -57,6 +63,17 @@ def _jacobi(A):
     return lambda r: minv * r
 
 
+def _start(A, b, config, precond):
+    """The checked right-hand side, the stopping target max(rel_tol |b|,
+    abs_tol), the preconditioner (Jacobi by default) and the iteration cap."""
+    config = config or SolverConfig()
+    b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise LinearSolverError("right-hand side is not finite")
+    target = max(config.rel_tol * np.linalg.norm(b), config.abs_tol)
+    return b, target, precond or _jacobi(A), config.iterations(b.size)
+
+
 def cg_solve(A, b, config=None, precond=None, _project=None):
     """Preconditioned conjugate gradients for symmetric positive (semi-)definite A.
 
@@ -67,15 +84,8 @@ def cg_solve(A, b, config=None, precond=None, _project=None):
     per-iteration hook applied to the iterate, used by neumann_solve to pin
     the constant null-space component.
     """
-    config = config or SolverConfig()
-    b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise LinearSolverError("right-hand side is not finite")
-    n = b.size
-    target = max(config.rel_tol * np.linalg.norm(b), config.abs_tol)
-    x = np.zeros(n)
-    precond = precond or _jacobi(A)
-
+    b, target, precond, maxit = _start(A, b, config, precond)
+    x = np.zeros(b.size)
     r = b.copy()
     history = [np.linalg.norm(r)]
     if history[-1] <= target:
@@ -83,8 +93,6 @@ def cg_solve(A, b, config=None, precond=None, _project=None):
     z = precond(r)
     p = z.copy()
     rz = r @ z
-
-    maxit = config.iterations(n)
     for k in range(1, maxit + 1):
         Ap = A @ p
         pAp = p @ Ap
@@ -137,14 +145,9 @@ def bicgstab_solve(A, b, config=None, x0=None, precond=None):
     residual as the new shadow residual; it raises only where it recurs
     right after a (re)start.
     """
-    config = config or SolverConfig()
-    b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise LinearSolverError("right-hand side is not finite")
+    b, target, precond, maxit = _start(A, b, config, precond)
     n = b.size
-    target = max(config.rel_tol * np.linalg.norm(b), config.abs_tol)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    precond = precond or _jacobi(A)
 
     def check(k, name, value):
         if not math.isfinite(value):
@@ -160,8 +163,6 @@ def bicgstab_solve(A, b, config=None, x0=None, precond=None):
     rho = alpha = omega = 1.0
     v = np.zeros(n)
     p = np.zeros(n)
-
-    maxit = config.iterations(n)
     for k in range(1, maxit + 1):
         rho_new = rhat @ r
         check(k, "rho", rho_new)
@@ -191,33 +192,30 @@ def bicgstab_solve(A, b, config=None, x0=None, precond=None):
             continue
         alpha = rho / denom
         s = r - alpha * v
-        if np.linalg.norm(s) <= target:
+        res = np.linalg.norm(s)
+        if res <= target:          # converged half way: the omega step is not needed
             x += alpha * phat
-            res = np.linalg.norm(b - A @ x)
             history.append(res)
+        else:
+            shat = precond(s)
+            t = A @ shat
+            tt = t @ t
+            check(k, "t.t", tt)
+            if tt == 0.0:
+                raise LinearSolverError(f"BiCGStab breakdown (t = 0) at iteration {k}", history)
+            omega = (t @ s) / tt
+            check(k, "omega", omega)
+            x += alpha * phat + omega * shat
+            r = s - omega * t
+            res = np.linalg.norm(r)
+            history.append(res)
+            check(k, "residual", res)
+        if res <= target:
+            # confirm on the true residual, against drift in the recurrence
+            r = b - A @ x
+            history[-1] = res = np.linalg.norm(r)
             if res <= target:
                 return x, SolveReport(k, res, target, history)
-            r = b - A @ x
-            continue
-        shat = precond(s)
-        t = A @ shat
-        tt = t @ t
-        check(k, "t.t", tt)
-        if tt == 0.0:
-            raise LinearSolverError(f"BiCGStab breakdown (t = 0) at iteration {k}", history)
-        omega = (t @ s) / tt
-        check(k, "omega", omega)
-        x += alpha * phat + omega * shat
-        r = s - omega * t
-        res = np.linalg.norm(r)
-        history.append(res)
-        check(k, "residual", res)
-        if res <= target:
-            true_res = np.linalg.norm(b - A @ x)
-            history[-1] = true_res
-            if true_res <= target:
-                return x, SolveReport(k, true_res, target, history)
-            r = b - A @ x
     raise LinearSolverError(
         f"BiCGStab did not converge in {maxit} iterations (residual {history[-1]:.3e}, "
         f"target {target:.3e})", history)

@@ -487,3 +487,9 @@ def upwind_cell_density(mesh, rho_cells, u):
     K, L = _edge_cells(mesh)
     v = mesh.edge_lengths * np.einsum("ed,ed->e", u, mesh.edge_normals)
     return np.where(v >= 0.0, rho_cells[K], rho_cells[L])
+
+
+def upwind_mass_balance(mesh, rho, rho_star, u, dt):
+    """Upwind edge density and cell mass-balance residual |K| (rho - rho*) / dt + D(rho_up u)."""
+    rho_up = upwind_cell_density(mesh, rho, u)
+    return rho_up, mesh.cell_volumes * (rho - rho_star) / dt + divergence(mesh, rho_up[:, None] * u)

@@ -16,13 +16,20 @@ import numpy as np
 
 from . import operators as ops
 from .eos import EosDomainError
-from .linsolve import SolverConfig, LinearSolverError, cg_solve, bicgstab_solve, neumann_solve
+from .linsolve import (HistoryError, LinearSolverError, SolverConfig, bicgstab_solve, cg_solve,
+                       neumann_solve)
 
 
-class SchemeError(RuntimeError):
-    def __init__(self, msg, history=None):
-        super().__init__(msg)
-        self.history = list(history) if history is not None else []
+class SchemeError(HistoryError):
+    pass
+
+
+def _solve(what, solver, *args, **kwargs):
+    """solver(*args, **kwargs), a solver failure raised as SchemeError("<what> failed: ...")."""
+    try:
+        return solver(*args, **kwargs)
+    except LinearSolverError as err:
+        raise SchemeError(f"{what} failed: {err}", err.history) from err
 
 
 @dataclass
@@ -45,6 +52,8 @@ class SchemeConfig:
             raise ValueError("viscosity must be nonnegative")
         if self.proj_eps <= 0.0:
             raise ValueError("projection tolerance must be positive")
+        if self.proj_maxit < 1:
+            raise ValueError("projection iteration cap must be at least 1")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("relaxation must lie in (0, 1]")
         if self.convection not in ("centered", "upwind"):
@@ -178,11 +187,8 @@ def predict_density(mesh, state, config, rho_edge_n, coeffs):
     b_s = b[:nv] + W @ b[nv:]
     # the full system's stopping rule: relative to |b|, not to |b_s|
     lin = replace(config.lin, rel_tol=config.lin.rel_tol * np.linalg.norm(b) / np.linalg.norm(b_s))
-    try:
-        rho_v, report = bicgstab_solve(_ReducedDensityOperator(dv, W, C), b_s, lin,
-                                       x0=rho_edge_n[:nv])
-    except LinearSolverError as err:
-        raise SchemeError(f"density prediction solve failed: {err}", err.history) from err
+    rho_v, report = _solve("density prediction solve", bicgstab_solve,
+                           _ReducedDensityOperator(dv, W, C), b_s, lin, x0=rho_edge_n[:nv])
     rho_tilde = np.concatenate([rho_v, (b[nv:] + C @ rho_v) / dh])
     if np.any(rho_tilde <= 0.0):
         raise SchemeError(
@@ -213,11 +219,8 @@ def renormalize_pressure(mesh, state, rho_tilde, config):
     A = ops.pressure_laplacian(mesh, rho_tilde)
     b = ops.pressure_laplacian(mesh, w_mixed) @ state.p
     b -= b.sum() / b.size      # strip the rounding noise along constants
-    try:
-        x, report = neumann_solve(A, b, mesh.cell_volumes, config.lin,
-                                  precond=ops.pressure_preconditioner(mesh, A))
-    except LinearSolverError as err:
-        raise SchemeError(f"pressure renormalization failed: {err}", err.history) from err
+    x, report = _solve("pressure renormalization", neumann_solve, A, b, mesh.cell_volumes,
+                       config.lin, precond=ops.pressure_preconditioner(mesh, A))
     mean = (mesh.cell_volumes @ state.p) / mesh.cell_volumes.sum()
     return x + mean, report
 
@@ -284,11 +287,8 @@ def predict_velocity(mesh, state, rho_tilde, p_tilde, config,
         m_bar = np.mean(m_new[idof])
         if np.mean(stiffness.data[plan.diagonal[idof]]) > m_bar:
             precond = ops.momentum_preconditioner(mesh, config.mu, m_bar)
-    try:
-        x, report = bicgstab_solve(A_ii, rhs_i, config.lin, x0=state.u.ravel()[idof],
-                                   precond=precond)
-    except LinearSolverError as err:
-        raise SchemeError(f"momentum solve failed: {err}", err.history) from err
+    x, report = _solve("momentum solve", bicgstab_solve, A_ii, rhs_i, config.lin,
+                       x0=state.u.ravel()[idof], precond=precond)
     u_tilde = bc_next.copy()
     flat = u_tilde.ravel()
     flat[idof] = x
@@ -339,9 +339,7 @@ def projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, config):
         except EosDomainError as err:
             raise SchemeError(f"projection iterate left the admissible pressure range "
                               f"({where}): {err}", history) from err
-        rho_up = ops.upwind_cell_density(mesh, rho, u)
-        res = vol * (rho - state.rho) / dt + ops.divergence(mesh, rho_up[:, None] * u)
-        return rho, rho_up, res
+        return (rho, *ops.upwind_mass_balance(mesh, rho, state.rho, u, dt))
 
     rho_k, rho_up_k, res_k = mass_balance(p_k, u_k, "starting iterate")
     for k in range(1, config.proj_maxit + 1):
@@ -349,10 +347,8 @@ def projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, config):
         shift = r_dt2 * config.eos.drho_dp(p_k)             # the Newton shift
         A.data[on_diagonal] += shift
         b = -res_k / dt
-        try:
-            d, solve = cg_solve(A, b, lin, precond=ops.pressure_preconditioner(mesh, A, shift))
-        except LinearSolverError as err:
-            raise SchemeError(f"projection pressure solve failed: {err}", err.history) from err
+        d, solve = _solve("projection pressure solve", cg_solve, A, b, lin,
+                          precond=ops.pressure_preconditioner(mesh, A, shift))
         cg_iterations += solve.iterations
         # A 1 = shift, as the Laplacian's rows sum to zero: a constant added
         # to d zeroes the summed linear residual, so total mass is kept

@@ -23,6 +23,7 @@ from .scheme import SchemeConfig, Stepper, initial_state
 
 _PI = np.pi
 _BLOCK = 8192        # points per block of the forcing evaluation
+_QUAD = 3            # Gauss points per direction of the cell rule
 
 
 class SmoothFlowCase:
@@ -142,7 +143,7 @@ def _cell_quadrature(mesh, n):
     return mesh.cached(("cell_quadrature", n), build)
 
 
-def assemble_forcing(case, mesh, t, quad_order=3):
+def assemble_forcing(case, mesh, t, quad_order=_QUAD):
     """Momentum right-hand side with the gradient-preserving treatment.
 
     The non-gradient part of the forcing is integrated against the basis
@@ -162,20 +163,20 @@ def assemble_forcing(case, mesh, t, quad_order=3):
     return rhs
 
 
-def forcing_provider(case, quad_order=3):
+def forcing_provider(case):
     def rhs(mesh, t):
-        return assemble_forcing(case, mesh, t, quad_order)
+        return assemble_forcing(case, mesh, t)
     return rhs
 
 
-def error_norms(mesh, state, case, quad_order=3):
+def error_norms(mesh, state, case):
     """(velocity L2 error, pressure discrete L2 error) at the state time.
 
     The velocity error integrates the finite element expansion against
     the exact velocity with a tensor Gauss rule per cell; the pressure
     error is the cellwise midpoint (piecewise-constant) distance.
     """
-    pts, w, phi = _cell_quadrature(mesh, quad_order)
+    pts, w, phi = _cell_quadrature(mesh, _QUAD)
     coeffs = state.u[mesh.cell_edges]                # (ncells, 4, 2)
     u_h = np.einsum("qa,cad->cqd", phi, coeffs)
     diff = u_h - case.velocity(_at_fixed_points(case, mesh, pts), state.t)
@@ -189,11 +190,11 @@ def error_norms(mesh, state, case, quad_order=3):
 # study drivers
 
 def make_config(case, dt, lin_tol=1e-10, proj_eps=1e-8, convection="centered",
-                alpha=1.0):
+                alpha=1.0, lin_maxit=None):
     return SchemeConfig(
         dt=dt, mu=case.mu, eos=case.eos, convection=convection,
         proj_eps=proj_eps, alpha=alpha,
-        lin=SolverConfig(rel_tol=lin_tol, abs_tol=1e-14),
+        lin=SolverConfig(rel_tol=lin_tol, max_iter=lin_maxit),
         boundary_values=boundary_provider(case),
         forcing_rhs=forcing_provider(case),
     )
@@ -241,11 +242,11 @@ def run_smooth_flow(mesh, dt, t_end=0.5, case=None, **config_kwargs):
     return state, info
 
 
-def fit_order(dts, errors, ratio_floor=1.5):
+def fit_order(dts, errors):
     """Least-squares log-log slope over the pre-plateau range.
 
     The pre-plateau range is the leading run of time steps over which
-    each halving still reduces the error by more than `ratio_floor`.
+    each halving still reduces the error by more than a factor 1.5.
     Returns (order, n_points_used); nan if fewer than two points qualify.
     """
     dts = np.asarray(dts, dtype=float)
@@ -253,7 +254,7 @@ def fit_order(dts, errors, ratio_floor=1.5):
     idx = np.argsort(-dts)
     dts, errors = dts[idx], errors[idx]
     last = 0
-    while last + 1 < dts.size and errors[last] / errors[last + 1] > ratio_floor:
+    while last + 1 < dts.size and errors[last] / errors[last + 1] > 1.5:
         last += 1
     if last < 1:
         return float("nan"), 1

@@ -279,10 +279,37 @@ def _fields_reference(mesh, state):
     return "\n".join(ref) + "\n"
 
 
-def test_simulate_rejects_non_affine_eos(capsys):
-    rc = main(["simulate", "--mesh", "4x4", "--eos", "power"])
+def test_simulate_rejects_non_affine_eos(tmp_path, capsys):
+    # convergence runs the same exact-flow problem and rejects the same laws
+    for command in ("simulate", "convergence"):
+        rc = main([command, "--mesh", "4x4", "--eos", "power", "--outdir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "affine" in err
+        assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--mesh", "8x8", "--dt", "0.025", "--t-end", "0.05"],
+    ["convergence", "--mesh", "4x4", "--dt-list", "0.1;0.05"],
+])
+def test_lin_maxit_caps_the_smooth_flow_solves(tmp_path, capsys, argv):
+    # simulate and convergence pass lin_maxit on, as stability does
+    rc = main([*argv, "--lin-maxit", "1", "--outdir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert "did not converge in 1 iterations" in err
+
+
+@pytest.mark.parametrize("gamma", ["1", "0.5"])
+def test_power_law_gamma_at_most_one_is_a_config_error(tmp_path, capsys, gamma):
+    rc = main(["stability", "--mesh", "4x4", "--eos", "power", "--gamma", gamma,
+               "--steps", "1", "--outdir", str(tmp_path)])
     assert rc == 2
-    assert "affine" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "gamma > 1" in err
+    assert not (tmp_path / "ledger.csv").exists()
 
 
 @pytest.mark.parametrize("argv, t_end, dt", [
@@ -290,6 +317,7 @@ def test_simulate_rejects_non_affine_eos(capsys):
     (["simulate", "--dt", "0.025", "--t-end", "0.01"], "0.01", "0.025"),
     (["simulate", "--dt", "0.03", "--t-end", "0.1"], "0.1", "0.03"),
     (["simulate", "--dt", "0.025", "--t-end", "1e-12"], "1e-12", "0.025"),
+    (["stability", "--dt", "0.03", "--t-end", "0.1"], "0.1", "0.03"),
 ])
 def test_t_end_must_be_a_multiple_of_dt(tmp_path, capsys, argv, t_end, dt):
     rc = main([*argv, "--mesh", "4x4", "--outdir", str(tmp_path)])
@@ -343,7 +371,7 @@ def test_convergence_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, thr
     (["--lin-maxit", "0"], "'lin_maxit'", "0"),
     (["--lin-maxit", "-5"], "'lin_maxit'", "-5"),
     (["--seed", "-1"], "'seed'", "-1"),
-    (["--t-end", "0.4", "--dt", "1.0"], "'t_end' = 0.4", "0 steps"),
+    (["--t-end", "0.4", "--dt", "1.0"], "t_end 0.4", "dt 1.0"),
 ])
 def test_stability_rejects_bad_integers_and_no_steps(tmp_path, capsys, flags, key, value):
     rc = main(["stability", "--mesh", "4x4", "--outdir", str(tmp_path), *flags])

@@ -413,6 +413,13 @@ def test_projection_nonconvergence_raises():
                         rf"\(last dp {num}, du {num}, residual {num}\)", str(err.value))
 
 
+@pytest.mark.parametrize("maxit", [0, -1])
+def test_projection_needs_an_iteration_cap_of_at_least_one(maxit):
+    # with no pass the projection would have no iterate to report
+    with pytest.raises(ValueError, match="projection iteration cap"):
+        SchemeConfig(dt=0.5, mu=1e-2, eos=AffineLaw(), proj_maxit=maxit)
+
+
 def test_projection_evaluates_each_iterate_once(monkeypatch, rng):
     # one density, upwind density and residual for the starting iterate,
     # then one per pass for the updated iterate
