@@ -94,21 +94,25 @@ def cell_quadrature_points(mesh, n):
     return pts, w * (mesh.hx * mesh.hy / 4.0)
 
 
-def edge_mean(mesh, func, n=3):
+def edge_mean(mesh, func, n=3, edges=None):
     """Edge-mean functionals of a pointwise field, one row per edge.
 
     `func(points)` must accept an (m, 2) array of points and return
     (m,) or (m, d) values.  Used to set velocity data and initial states.
-    For a given mesh and n the points are the same read-only array.
+    For a given mesh, n and index array `edges` (all edges when None) the
+    points are the same read-only array; each edge of `edges` gets a row.
     """
     def build(mesh):
         x, w = gauss_points_1d(n)
         pts = (mesh.edge_p0[:, None, :] * (1.0 - x[None, :, None]) / 2.0
                + mesh.edge_p1[:, None, :] * (1.0 + x[None, :, None]) / 2.0)
         return _frozen(pts.reshape(-1, 2)), w / 2.0     # means, not integrals
-    flat, w = mesh.cached(("edge_points", n), build)
+    every, w = mesh.cached(("edge_points", n), build)
+    flat = every if edges is None else mesh.cached(
+        ("edge_points", n, edges.dtype.str, edges.tobytes()),
+        lambda mesh: _frozen(every.reshape(mesh.nedges, w.size, 2)[edges].reshape(-1, 2)))
     vals = np.asarray(func(flat), dtype=float)
-    vals = vals.reshape(mesh.nedges, w.size, -1)
+    vals = vals.reshape(len(flat) // w.size, w.size, -1)
     out = np.einsum("q,eqd->ed", w, vals)
     return out[:, 0] if out.shape[1] == 1 else out
 

@@ -42,7 +42,7 @@ class SchemeConfig:
     proj_maxit: int = 100
     alpha: float = 1.0
     lin: SolverConfig = field(default_factory=SolverConfig)
-    boundary_values: object = None        # callable(mesh, t) -> (nedges, 2)
+    boundary_values: object = None        # f(mesh, t) -> (nedges, 2); only boundary rows read
     forcing_rhs: object = None            # callable(mesh, t) -> (nedges, 2)
 
     def __post_init__(self):

@@ -281,6 +281,36 @@ def forcing(case, x, t):
     return case.forcing_rest(x, t) + grad_pressure(case, x, t)
 
 
+def forcing_rest_chain(case, x, t):
+    """SmoothFlowCase.forcing_rest by the derivative chain of u = m / rho.
+
+    Differentiating rho u = m gives each derivative of u from lower ones:
+    d_j u = (d_j m - u d_j rho) / rho  and
+    d_jk u = (d_jk m - d_j u d_k rho - d_k u d_j rho - u d_jk rho) / rho.
+    Here m_i depends on x_i only and rho has no mixed derivative.
+    """
+    s1, c1, s2, c2 = case.spatial(x)
+    a, b = 0.25 * np.sin(np.pi * t), 0.25 * np.cos(np.pi * t)
+    r = 1.0 / (1.0 + a * (c1 - s2))
+    m = (-b * s1, -b * c2)
+    dm = (-np.pi * b * c1, np.pi * b * s2)                  # d_i m_i
+    ddm = (np.pi ** 2 * b * s1, np.pi ** 2 * b * c2)        # d_ii m_i
+    g = (-np.pi * a * s1, -np.pi * a * c2)                  # d_j rho
+    h = (-np.pi ** 2 * a * c1, np.pi ** 2 * a * s2)         # d_jj rho
+    u = [mi * r for mi in m]
+    du = [[((dm[i] if i == j else 0.0) - u[i] * g[j]) * r for j in (0, 1)]
+          for i in (0, 1)]                                  # d_j u_i
+    d2u = [[((ddm[i] if i == j else 0.0) - 2.0 * du[i][j] * g[j] - u[i] * h[j]) * r
+            for j in (0, 1)] for i in (0, 1)]               # d_jj u_i
+    dxy = [-(du[i][0] * g[1] + du[i][1] * g[0]) * r for i in (0, 1)]  # d_01 u_i
+    div = du[0][0] + du[1][1]
+    grad_div = (d2u[0][0] + dxy[1], dxy[0] + d2u[1][1])
+    dmdt = (np.pi * a * s1, np.pi * a * c2)
+    return np.stack([dmdt[i] + dm[i] * u[i] + m[i] * div
+                     - case.mu * (d2u[i][0] + d2u[i][1]) - (case.mu / 3.0) * grad_div[i]
+                     for i in (0, 1)], axis=-1)
+
+
 def jac_momentum(case, x, t):
     """J[..., i, j] = d m_i / d x_j of SmoothFlowCase (diagonal for this flow)."""
     ct = np.cos(np.pi * t)

@@ -318,6 +318,9 @@ def test_power_law_gamma_at_most_one_is_a_config_error(tmp_path, capsys, gamma):
     (["simulate", "--dt", "0.03", "--t-end", "0.1"], "0.1", "0.03"),
     (["simulate", "--dt", "0.025", "--t-end", "1e-12"], "1e-12", "0.025"),
     (["stability", "--dt", "0.03", "--t-end", "0.1"], "0.1", "0.03"),
+    (["stability", "--dt", "1e-300", "--t-end", "1e300"], "1e+300", "1e-300"),
+    (["simulate", "--dt", "1e-300", "--t-end", "1e300"], "1e+300", "1e-300"),
+    (["convergence", "--dt-list", "1e-300", "--t-end", "1e300"], "1e+300", "1e-300"),
 ])
 def test_t_end_must_be_a_multiple_of_dt(tmp_path, capsys, argv, t_end, dt):
     rc = main([*argv, "--mesh", "4x4", "--outdir", str(tmp_path)])

@@ -10,6 +10,8 @@ geometry and the viscous stiffness, built once per mesh from per-slot
 constants, are compared with cell-by-cell constructions.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -238,13 +240,37 @@ def test_cached_forcing_matches_pointwise_quadrature(quad_order):
 
 
 def test_boundary_data_matches_pointwise_edge_means():
+    """The Dirichlet data are the exact edge means on the boundary rows,
+    bit for bit those of all edges, and exactly zero on the interior rows."""
     case = ver.SmoothFlowCase()
     mesh = build_rect_mesh(6, 5, case.domain)
     bc = ver.boundary_provider(case)
+    bnd = mesh.boundary_edges
     for t in (0.0, 0.45, 1.2):
         got = bc(mesh, t)
-        np.testing.assert_array_equal(
-            got, ops.edge_mean(mesh, lambda pts: case.velocity(np.array(pts), t)))
+        assert got.shape == (mesh.nedges, 2)
+        expect = ops.edge_mean(mesh, lambda pts: case.velocity(np.array(pts), t))
+        np.testing.assert_array_equal(got[bnd], expect[bnd])
+        np.testing.assert_array_equal(got[mesh.interior_edges], 0.0)
+
+
+def test_step_reads_only_the_boundary_rows_of_the_data():
+    """A smooth-flow step whose boundary data carry NaN in the interior rows
+    gives the state of the zero-interior data, bit for bit."""
+    case = ver.SmoothFlowCase()
+    mesh = build_rect_mesh(8, 8, case.domain)
+    bc = ver.boundary_provider(case)
+
+    def nan_interior(mesh, t):
+        out = bc(mesh, t)
+        out[mesh.interior_edges] = np.nan
+        return out
+    config = ver.make_config(case, 0.025)
+    states = [sch.Stepper(mesh, dataclasses.replace(config, boundary_values=provider))
+              .step(ver.initial_exact_state(case, mesh))[0] for provider in (bc, nan_interior)]
+    for name in ("u", "p", "rho", "rho_edge_pred"):
+        np.testing.assert_array_equal(getattr(states[1], name), getattr(states[0], name))
+    assert np.isfinite(states[0].u).all()
 
 
 def test_step_computes_shared_fields_once(monkeypatch):

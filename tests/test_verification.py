@@ -119,6 +119,18 @@ def test_forcing_against_fd_residual_oracle(rng):
                                got - oracles.grad_pressure(case, x, t), atol=1e-14)
 
 
+@pytest.mark.parametrize("mu", [0.0, 1e-2, 1.0, 10.0])
+def test_closed_form_forcing_matches_derivative_chain(mu):
+    case = SmoothFlowCase(mu=mu)
+    x = sample_points(np.random.default_rng(20), 20000)   # more than one block
+    for t in (0.0, 0.37, 1.0, 1.7, 3.3):
+        expect = oracles.forcing_rest_chain(case, x, t)
+        got = case.forcing_rest(x, t)
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+        shaped = case.forcing_rest(x.reshape(4, -1, 2), t)
+        np.testing.assert_array_equal(shaped.reshape(-1, 2), got)
+
+
 # ----------------------------------------------------------------------
 # discrete data
 
