@@ -90,10 +90,11 @@ def cg_solve(A, b, config=None, precond=None, _project=None):
     history = [np.linalg.norm(r)]
     if history[-1] <= target:
         return x, SolveReport(0, history[-1], target, history)
-    z = precond(r)
-    p = z.copy()
-    rz = r @ z
+    p, rz = np.zeros(b.size), np.inf       # beta = 0: the first direction is z
     for k in range(1, maxit + 1):
+        z = precond(r)
+        rz_old, rz = rz, r @ z
+        p = z + (rz / rz_old) * p
         Ap = A @ p
         pAp = p @ Ap
         if not (np.isfinite(rz) and np.isfinite(pAp)):
@@ -120,16 +121,7 @@ def cg_solve(A, b, config=None, precond=None, _project=None):
             history[-1] = res
             if res <= target:
                 return x, SolveReport(k, res, target, history)
-            # the old direction is not conjugate to the true residual: restart
-            z = precond(r)
-            p = z.copy()
-            rz = r @ z
-            continue
-        z = precond(r)
-        rz_new = r @ z
-        beta = rz_new / rz
-        p = z + beta * p
-        rz = rz_new
+            rz = np.inf    # the old direction is not conjugate to the true residual: restart
     raise LinearSolverError(
         f"CG did not converge in {maxit} iterations (residual {history[-1]:.3e}, "
         f"target {target:.3e})", history)
