@@ -216,10 +216,12 @@ def bicgstab_solve(A, b, config=None, x0=None, precond=None):
 def neumann_solve(A, b, volumes, config=None, precond=None):
     """Solve a singular symmetric system whose null space is the constants.
 
-    The right-hand side must be (numerically) orthogonal to constants;
-    the returned solution has zero volume-weighted mean.  Callers may add
-    any constant afterwards.  `precond` is passed to cg_solve; it should
-    map residuals orthogonal to the constants to the same subspace.
+    The right-hand side must be (numerically) orthogonal to constants: its
+    constant component is checked against 1e3 rel_tol |b|, then removed, so
+    CG sees rounding along the null space of neither A nor b.  The returned
+    solution has zero volume-weighted mean; callers may add any constant
+    afterwards.  `precond` is passed to cg_solve; it should map residuals
+    orthogonal to the constants to the same subspace.
     """
     config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
@@ -237,5 +239,5 @@ def neumann_solve(A, b, volumes, config=None, precond=None):
     def project(x):
         return x - (volumes @ x) / vtot
 
-    x, report = cg_solve(A, b, config, precond=precond, _project=project)
+    x, report = cg_solve(A, b - b.sum() / b.size, config, precond=precond, _project=project)
     return project(x), report

@@ -218,7 +218,6 @@ def renormalize_pressure(mesh, state, rho_tilde, config):
     w_mixed = np.sqrt(rho_tilde * state.rho_edge_pred)
     A = ops.pressure_laplacian(mesh, rho_tilde)
     b = ops.pressure_laplacian(mesh, w_mixed) @ state.p
-    b -= b.sum() / b.size      # strip the rounding noise along constants
     x, report = _solve("pressure renormalization", neumann_solve, A, b, mesh.cell_volumes,
                        config.lin, precond=ops.pressure_preconditioner(mesh, A))
     mean = (mesh.cell_volumes @ state.p) / mesh.cell_volumes.sum()
