@@ -74,15 +74,13 @@ def _start(A, b, config, precond):
     return b, target, precond or _jacobi(A), config.iterations(b.size)
 
 
-def cg_solve(A, b, config=None, precond=None, _project=None):
+def cg_solve(A, b, config=None, precond=None):
     """Preconditioned conjugate gradients for symmetric positive (semi-)definite A.
 
     Starts from x = 0 and stops when ||b - A x|| <= max(rel_tol * ||b||,
     abs_tol).  `precond` maps a residual r to z ~ A^-1 r and must be
     symmetric positive definite on the range of A; by default it is the
-    Jacobi (diagonal) preconditioner.  `_project` is an optional
-    per-iteration hook applied to the iterate, used by neumann_solve to pin
-    the constant null-space component.
+    Jacobi (diagonal) preconditioner.
     """
     b, target, precond, maxit = _start(A, b, config, precond)
     x = np.zeros(b.size)
@@ -107,8 +105,6 @@ def cg_solve(A, b, config=None, precond=None, _project=None):
                 history)
         alpha = rz / pAp
         x += alpha * p
-        if _project is not None:
-            x = _project(x)
         r -= alpha * Ap
         res = np.linalg.norm(r)
         history.append(res)
@@ -216,28 +212,19 @@ def bicgstab_solve(A, b, config=None, x0=None, precond=None):
 def neumann_solve(A, b, volumes, config=None, precond=None):
     """Solve a singular symmetric system whose null space is the constants.
 
-    The right-hand side must be (numerically) orthogonal to constants: its
-    constant component is checked against 1e3 rel_tol |b|, then removed, so
-    CG sees rounding along the null space of neither A nor b.  The returned
-    solution has zero volume-weighted mean; callers may add any constant
-    afterwards.  `precond` is passed to cg_solve; it should map residuals
-    orthogonal to the constants to the same subspace.
+    The right-hand side must be (numerically) orthogonal to constants; its
+    rounding-level constant component is removed before CG, and the
+    solution's once after it, to zero volume-weighted mean.  Callers may add
+    any constant afterwards.  `precond` is passed to cg_solve; it should
+    map residuals orthogonal to the constants to the same subspace.
     """
     config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
-    volumes = np.asarray(volumes, dtype=float)
     bnorm = np.linalg.norm(b)
-    if bnorm <= config.abs_tol:
-        return np.zeros(b.size), SolveReport(0, bnorm, config.abs_tol, [bnorm])
     constant_part = abs(b.sum()) / np.sqrt(b.size)
     if constant_part > max(1e3 * config.rel_tol * bnorm, config.abs_tol):
         raise LinearSolverError(
             f"incompatible right-hand side: constant component "
             f"{constant_part / bnorm:.3e} of |b|")
-    vtot = volumes.sum()
-
-    def project(x):
-        return x - (volumes @ x) / vtot
-
-    x, report = cg_solve(A, b - b.sum() / b.size, config, precond=precond, _project=project)
-    return project(x), report
+    x, report = cg_solve(A, b - b.sum() / b.size, config, precond=precond)
+    return x - (volumes @ x) / np.sum(volumes), report
