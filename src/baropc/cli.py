@@ -180,8 +180,8 @@ def _checked(fn, *args):
 
 def _settings(cfg):
     """The scheme settings of the config that every subcommand passes on."""
-    return dict(lin_tol=cfg.lin_tol, lin_maxit=cfg.lin_maxit, proj_eps=cfg.proj_eps,
-                convection=cfg.convection, alpha=cfg.alpha)
+    return dict(lin=SolverConfig(rel_tol=cfg.lin_tol, max_iter=cfg.lin_maxit),
+                proj_eps=cfg.proj_eps, convection=cfg.convection, alpha=cfg.alpha)
 
 
 def _smooth_case(cfg):
@@ -274,9 +274,7 @@ def perturbed_initial_state(mesh, eos, seed, rho_amp=0.3, u_max=0.5):
 def _cmd_stability(cfg):
     eos = _checked(make_eos, cfg.eos, cfg.gamma, cfg.mach)
     nsteps = cfg.steps if cfg.steps is not None else _checked(step_count, cfg.t_end, cfg.dt)
-    settings = _settings(cfg)
-    lin = SolverConfig(rel_tol=settings.pop("lin_tol"), max_iter=settings.pop("lin_maxit"))
-    config = SchemeConfig(dt=cfg.dt, mu=cfg.mu, eos=eos, lin=lin, **settings)
+    config = SchemeConfig(dt=cfg.dt, mu=cfg.mu, eos=eos, **_settings(cfg))
     mesh = build_rect_mesh(*cfg.mesh, cfg.domain)
     _, ledger = _advance_with_ledger(mesh, config, perturbed_initial_state(mesh, eos, cfg.seed),
                                      nsteps, cfg.outdir)

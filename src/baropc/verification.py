@@ -18,7 +18,6 @@ import numpy as np
 from . import operators as ops
 from .diagnostics import csv_number
 from .eos import AffineLaw
-from .linsolve import SolverConfig
 from .scheme import SchemeConfig, Stepper, initial_state
 
 _PI = np.pi
@@ -157,12 +156,6 @@ def assemble_forcing(case, mesh, t, quad_order=_QUAD):
     return rhs
 
 
-def forcing_provider(case):
-    def rhs(mesh, t):
-        return assemble_forcing(case, mesh, t)
-    return rhs
-
-
 def error_norms(mesh, state, case):
     """(velocity L2 error, pressure discrete L2 error) at the state time.
 
@@ -183,15 +176,10 @@ def error_norms(mesh, state, case):
 # ----------------------------------------------------------------------
 # study drivers
 
-def make_config(case, dt, lin_tol=1e-10, proj_eps=1e-8, convection="centered",
-                alpha=1.0, lin_maxit=None):
-    return SchemeConfig(
-        dt=dt, mu=case.mu, eos=case.eos, convection=convection,
-        proj_eps=proj_eps, alpha=alpha,
-        lin=SolverConfig(rel_tol=lin_tol, max_iter=lin_maxit),
-        boundary_values=boundary_provider(case),
-        forcing_rhs=forcing_provider(case),
-    )
+def make_config(case, dt, **settings):
+    """The scheme config of the exact-flow problem; `settings` are further SchemeConfig fields."""
+    return SchemeConfig(dt=dt, mu=case.mu, eos=case.eos, boundary_values=boundary_provider(case),
+                        forcing_rhs=lambda mesh, t: assemble_forcing(case, mesh, t), **settings)
 
 
 def initial_exact_state(case, mesh):
@@ -232,7 +220,6 @@ def run_smooth_flow(mesh, dt, t_end=0.5, case=None, **config_kwargs):
         "inner_mean": float(np.mean(inner)) if inner else 0.0,
         "inner_max": int(np.max(inner)) if inner else 0,
         "wall_seconds": wall,
-        "nsteps": nsteps,
     }
     return state, info
 

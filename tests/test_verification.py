@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from baropc.linsolve import SolverConfig
 from baropc.mesh import build_rect_mesh
 from baropc import operators as ops
 from baropc import verification as ver
@@ -262,7 +263,7 @@ def test_fit_order_requires_two_points():
 
 def test_convergence_study_single_run(tmp_path):
     rows, orders = ver.convergence_study(
-        [(4, 4)], [0.1], t_end=0.2, lin_tol=1e-10, proj_eps=1e-8)
+        [(4, 4)], [0.1], t_end=0.2, lin=SolverConfig(rel_tol=1e-10), proj_eps=1e-8)
     assert len(rows) == 1
     row = rows[0]
     assert row["nx"] == 4 and row["dt"] == 0.1
@@ -284,7 +285,7 @@ def test_run_smooth_flow_validates_step_count():
 
 def test_convergence_study_parallel_matches_sequential(monkeypatch):
     args = ([(4, 4)], [0.1, 0.05])
-    kwargs = dict(t_end=0.2, lin_tol=1e-10, proj_eps=1e-8)
+    kwargs = dict(t_end=0.2, lin=SolverConfig(rel_tol=1e-10), proj_eps=1e-8)
     monkeypatch.setenv("BAROPC_THREADS", "1")
     seq, _ = ver.convergence_study(*args, **kwargs)
     monkeypatch.setenv("BAROPC_THREADS", "2")
