@@ -311,9 +311,11 @@ def projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, config):
     from zero to ETA times its right-hand side, with the equation of state
     linearized and the upwind density lagged at the current iterate, then
     relaxes the correction and updates the velocity by the gradient of the
-    carried increment q = p - p_tilde.  Converged when the relative upwind
-    mass-balance residual (the one the energy analysis needs) is below the
-    projection tolerance with the max-norm updates below a proportional guard.
+    carried increment q = p - p_tilde.  q's constant part is a separate scalar:
+    at large dt it outgrows the fluctuation, whose low bits the gradient
+    needs.  Converged when the relative upwind mass-balance residual (the one
+    the energy analysis needs) is below the projection tolerance with the
+    max-norm updates below a proportional guard.
     """
     dt = config.dt
     vol = mesh.cell_volumes
@@ -327,7 +329,7 @@ def projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, config):
     lin = replace(config.lin, rel_tol=max(config.lin.rel_tol, ETA),
                   abs_tol=0.5 * config.proj_eps * res_scale / dt)
 
-    p_k, u_k, q = p_tilde, u_tilde, np.zeros_like(p_tilde)
+    p_k, u_k, q, q_mean = p_tilde, u_tilde, np.zeros_like(p_tilde), 0.0
     history, cg_iterations = [], 0
     on_diagonal = ops.pressure_pattern(mesh).diagonal
 
@@ -352,8 +354,10 @@ def projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, config):
         # A 1 = shift, as the Laplacian's rows sum to zero: a constant added
         # to d zeroes the summed linear residual, so total mass is kept
         d += (b.sum() - shift @ d) / shift.sum()
-        q += config.alpha * d
-        p_next = p_tilde + q
+        c = d.mean()
+        q += config.alpha * (d - c)
+        q_mean += config.alpha * c
+        p_next = p_tilde + (q + q_mean)
 
         # boundary rows keep u_tilde: the gradient vanishes there
         u_next = u_tilde - dt * minv[:, None] * ops.gradient(mesh, q)

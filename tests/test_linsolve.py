@@ -51,6 +51,35 @@ def test_cg_nonconvergence_carries_history():
     assert len(err.value.history) == 4                 # initial + 3 iterations
 
 
+class _RoundedProducts:
+    """A whose first `count` products (all, by default) are rounded to float32."""
+
+    def __init__(self, A, count=None):
+        self.A, self.count, self.calls = A, count, 0
+
+    def __matmul__(self, x):
+        self.calls += 1
+        y = self.A @ x
+        rounded = self.count is None or self.calls <= self.count
+        return y.astype(np.float32).astype(float) if rounded else y
+
+    def diagonal(self):
+        return self.A.diagonal()
+
+
+def test_cg_checks_the_true_residual_and_restarts_on_drift():
+    # rounded products make the recurrence residual drift from the true one;
+    # CG must never report the recurrence's convergence without the true
+    # residual's, and must restart from the true residual to converge
+    A, b = _poisson_1d(40), np.sin(np.arange(40.0))
+    config = SolverConfig(rel_tol=1e-12, max_iter=400)
+    with pytest.raises(LinearSolverError, match="did not converge") as err:
+        cg_solve(_RoundedProducts(A), b, config)
+    assert len(err.value.history) == 401
+    x, report = cg_solve(_RoundedProducts(A, count=30), b, config)
+    assert np.linalg.norm(b - A @ x) <= report.target
+
+
 def test_cg_nonfinite_preconditioner_raises_early():
     A = _poisson_1d(40)
     with pytest.raises(LinearSolverError, match="not finite") as err:
@@ -100,6 +129,19 @@ def test_neumann_mean_zero_on_larger_problem(rng):
     x, report = neumann_solve(A, b, m.cell_volumes, SolverConfig(rel_tol=1e-12))
     assert np.linalg.norm(b - A @ x) <= report.target
     assert abs(m.cell_volumes @ x) <= 1e-12 * np.abs(x).max() * m.cell_volumes.sum()
+
+
+def test_neumann_strips_a_constant_inside_the_compatibility_tolerance(rng):
+    # a constant component of 1e-9 |b| passes the check at 1e3 rel_tol but lies
+    # above CG's target, so neumann_solve must remove it before CG
+    m = build_rect_mesh(6, 5)
+    w = rng.uniform(0.5, 2.0, m.nedges)
+    A = ops.pressure_laplacian(m, w)
+    b = rng.normal(size=m.ncells)
+    b -= b.mean()
+    x, _ = neumann_solve(A, b, m.cell_volumes)
+    y, _ = neumann_solve(A, b + 1e-9 * np.linalg.norm(b) / np.sqrt(b.size), m.cell_volumes)
+    np.testing.assert_allclose(y, x, rtol=0.0, atol=1e-12 * np.abs(x).max())
 
 
 def test_neumann_rejects_incompatible_rhs():

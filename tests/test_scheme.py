@@ -442,9 +442,9 @@ def test_projection_evaluates_each_iterate_once(monkeypatch, rng):
     assert calls == {"rho": report.iterations + 1, "upwind": report.iterations + 1}
 
 
-def project_at_dt_1000(eos, seed):
+def project_at_large_step(eos, seed, dt=1000.0):
     mesh = build_rect_mesh(3, 3)
-    cfg = SchemeConfig(dt=1000.0, mu=1e-2, eos=eos,
+    cfg = SchemeConfig(dt=dt, mu=1e-2, eos=eos,
                        lin=SolverConfig(rel_tol=1e-10, abs_tol=1e-14))
     state = random_state(mesh, eos, np.random.default_rng(seed))
     rho_tilde, p_tilde, u_tilde = oracles.predict(mesh, state, cfg)
@@ -455,18 +455,19 @@ def project_at_dt_1000(eos, seed):
 @pytest.mark.parametrize("eos", [PowerLaw(1.4), AffineLaw()], ids=["power", "affine"])
 def test_projection_never_reports_converged_above_tolerance(eos):
     # at dt = 1000 the correction is far below CG's absolute floor lin.abs_tol;
-    # the passes' target follows proj_eps instead, so every state converges
-    stalls = {7} if isinstance(eos, PowerLaw) else set()
-    for seed in sorted(set(range(20)) - stalls):
-        cfg, report = project_at_dt_1000(eos, seed)
-        assert report.mass_residual < cfg.proj_eps
+    # the passes' target follows proj_eps instead, so every state converges.
+    # At dt = 1e4 the constant part of p - p_tilde is over 1e4 times its
+    # fluctuation; it is carried apart, or the velocity update loses the latter
+    for dt in (1e3, 1e4):
+        for seed in range(20):
+            cfg, report = project_at_large_step(eos, seed, dt)
+            assert report.mass_residual < cfg.proj_eps
 
 
-@pytest.mark.xfail(strict=True, raises=SchemeError,
-                   reason="the power law's Newton shift at dt = 1000 is tiny, the operator "
-                   "nearly singular: the passes stall at residual 2e-8")
 def test_projection_converges_at_dt_1000_power_seed_7():
-    project_at_dt_1000(PowerLaw(1.4), 7)
+    # the power law's Newton shift at dt = 1000 is tiny: this state stalled
+    # at residual 2e-8 while q's constant part was carried in q itself
+    project_at_large_step(PowerLaw(1.4), 7)
 
 
 def test_projection_passes_are_inexact(monkeypatch):
