@@ -465,8 +465,8 @@ def test_projection_never_reports_converged_above_tolerance(eos):
 
 
 def test_projection_converges_at_dt_1000_power_seed_7():
-    # the power law's Newton shift at dt = 1000 is tiny: this state stalled
-    # at residual 2e-8 while q's constant part was carried in q itself
+    # the power law's Newton shift at dt = 1000 is tiny: this state converges
+    # only with q's constant part carried apart (else it stalls near 2e-8)
     project_at_large_step(PowerLaw(1.4), 7)
 
 
