@@ -456,8 +456,8 @@ def project_at_large_step(eos, seed, dt=1000.0):
 def test_projection_never_reports_converged_above_tolerance(eos):
     # at dt = 1000 the correction is far below CG's absolute floor lin.abs_tol;
     # the passes' target follows proj_eps instead, so every state converges.
-    # At dt = 1e4 the constant part of p - p_tilde is over 1e4 times its
-    # fluctuation; it is carried apart, or the velocity update loses the latter
+    # At large dt the constant part of p - p_tilde outgrows its fluctuation; it
+    # is carried apart, or the velocity update loses the fluctuation's low bits
     for dt in (1e3, 1e4):
         for seed in range(20):
             cfg, report = project_at_large_step(eos, seed, dt)
