@@ -301,10 +301,6 @@ def test_lin_maxit_caps_the_smooth_flow_solves(tmp_path, capsys, argv):
     assert "did not converge in 1 iterations" in err
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="one cell keeps the density at its mean 1, where the affine "
-                   "pressure is 0: p is rounding noise and dp, relative to max|p|, "
-                   "never passes the update guard (100 passes)")
 @pytest.mark.parametrize("argv", [
     ["simulate", "--mesh", "1x1", "--dt", "0.25", "--t-end", "0.5"],
     ["simulate", "--mesh", "1x1", "--dt", "0.025", "--t-end", "0.05"],
