@@ -15,8 +15,6 @@ What depends only on the mesh (sparsity patterns, gather indices, weights)
 is built on first use and kept in `RectMesh.cached`; calls compute values.
 """
 
-from functools import cached_property
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -138,15 +136,24 @@ def edge_density(mesh, rho):
     return (hd[:, 0] * rho[K] + hd[:, 1] * rho[L]) / mesh.diamond_volumes
 
 
-def divergence(mesh, u):
-    """Cell divergence (D u)_K, boundary edges included with their values."""
+def _incidence(mesh):
+    """Signed cell-edge incidence |sigma| n_{K,sigma} . e_axis as a CSR
+    (ncells x nedges), and the flat dof 2*edge + axis of each edge's normal
+    component: the normals are axis-aligned, x for vertical edges."""
     def build(mesh):
-        # normals are axis-aligned: x for the left/right slots, y for bottom/top
         ce, axis = mesh.cell_edges, np.array([0, 0, 1, 1])
         coeff = mesh.edge_lengths[ce] * mesh.cell_edge_signs * mesh.edge_normals[ce, axis]
-        return _frozen((2 * ce + axis).astype(np.int32)), _frozen(coeff)
-    flat_index, coeff = mesh.cached("divergence", build)
-    return np.einsum("ce,ce->c", coeff, np.asarray(u, dtype=float).ravel()[flat_index])
+        D = sp.csr_matrix((coeff.ravel(), ce.ravel(), np.arange(0, ce.size + 1, 4)),
+                          shape=(mesh.ncells, mesh.nedges))
+        edges = np.arange(mesh.nedges)
+        return D, _frozen((2 * edges + (edges >= mesh.n_vertical)).astype(np.int32))
+    return mesh.cached("incidence", build)
+
+
+def divergence(mesh, u):
+    """Cell divergence (D u)_K, boundary edges included with their values."""
+    D, normal = _incidence(mesh)
+    return D @ np.asarray(u, dtype=float).ravel()[normal]
 
 
 def gradient(mesh, q):
@@ -166,50 +173,62 @@ def _frozen(a):
 
 
 class Pattern:
-    """Fixed CSR sparsity, refilled with new values on every use.
+    """Fixed CSR sparsity whose values are one fixed linear map of per-call inputs.
 
-    `assemble` remembers where each COO entry lands, and `fill` sums the
-    duplicates in entry order as scipy's COO -> CSR conversion does, so a
-    refilled matrix equals a fresh COO assembly entry for entry.  All
-    matrices of a pattern share its read-only index arrays.
+    `assemble` lists COO entries, each a multiple of one input, and `fill(x)`
+    sums each stored entry's terms in the order of their inputs: one cached
+    CSC product, whose columns are the inputs, or a plain gather where every
+    stored entry is one input.  Listed by input, the entries are thus summed
+    in entry order, as scipy's COO -> CSR conversion does, so a refilled
+    matrix equals a fresh COO assembly entry for entry.  All matrices of a
+    pattern share its read-only index arrays.
     """
 
-    def __init__(self, indptr, indices, shape, slot=None):
+    def __init__(self, indptr, indices, shape, source=None):
         self.indptr = _frozen(np.asarray(indptr, dtype=np.int32))
         self.indices = _frozen(np.asarray(indices, dtype=np.int32))
-        self.shape, self.slot, self.nnz = shape, slot, self.indices.size
+        self.shape, self.source, self.nnz = shape, source, self.indices.size
 
     @classmethod
-    def assemble(cls, rows, cols, shape):
-        """The pattern of a COO assembly listing its entries in order."""
-        keys, slot = np.unique(np.asarray(rows, dtype=np.int64) * shape[1] + cols,
-                               return_inverse=True)
-        rows, cols = np.divmod(keys, shape[1])
-        return cls(np.searchsorted(rows, np.arange(shape[0] + 1)), cols, shape,
-                   _frozen(slot.astype(np.int32)))
+    def assemble(cls, rows, cols, shape, src=None, weight=None, size=None, within=None):
+        """The pattern of a COO assembly of the given entries.
 
-    def fill(self, vals):
-        if self.slot is not None:
-            vals = np.bincount(self.slot, weights=vals, minlength=self.nnz)
-        return sp.csr_matrix((vals, self.indices, self.indptr), shape=self.shape)
+        Entry i holds weight[i] * x[src[i]] of inputs x of length `size` (by
+        default x[i] and len(rows)), no two of them one input at one place.
+        With `within`, a CSR pattern with sorted columns holding every entry,
+        the stored pattern is that one.
+        """
+        if within is None:                    # scipy's COO -> CSR structure of the entries
+            within = sp.csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=shape)
+        within = cls(within.indptr, within.indices, shape)
+        slot, nnz = within.find(rows, cols), within.nnz
+        src = np.arange(len(slot)) if src is None else src
+        if weight is None and len(slot) == nnz and np.all(np.bincount(slot, minlength=nnz)):
+            source = np.empty(nnz, dtype=np.int32)            # one input per stored entry
+            source[slot] = src
+        else:
+            weight = np.ones(len(slot)) if weight is None else np.asarray(weight, dtype=float)
+            source = sp.csc_matrix((weight, (slot, src)),
+                                   shape=(nnz, len(slot) if size is None else size))
+        return cls(within.indptr, within.indices, shape, source)
 
-    @cached_property
-    def diagonal(self):
-        """Data positions of the diagonal entries."""
-        return positions(marker(self).diagonal())
+    def fill(self, x):
+        data = self.source @ x if sp.issparse(self.source) else x[self.source]
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+    def find(self, rows, cols):
+        """Data positions of the stored entries (rows[i], cols[i])."""
+        marks = np.asarray(marker(self)[rows, cols]).ravel() if len(rows) else np.ones(0, int)
+        if np.any(marks == 0):
+            raise ValueError("entries outside the sparsity pattern")
+        return _frozen(marks - 1)
 
 
 def marker(A):
-    """A matrix on A's pattern holding 1, 2, ..., nnz: slices and products
-    of it read back where the selected entries sit in A (see positions)."""
-    return sp.csr_matrix((np.arange(1.0, A.nnz + 1.0), A.indices, A.indptr), shape=A.shape)
-
-
-def positions(marks):
-    """0-based data positions from marker values; 0 marks an unstored entry."""
-    if np.any(marks == 0.0):
-        raise ValueError("entries outside the sparsity pattern")
-    return _frozen(marks.astype(np.int32) - 1)
+    """A matrix on A's pattern holding 1, 2, ..., nnz: slices and samples of
+    it read back where the selected entries sit in A, 0 where none does."""
+    return sp.csr_matrix((np.arange(1, A.nnz + 1, dtype=np.int32), A.indices, A.indptr),
+                         shape=A.shape)
 
 
 # ----------------------------------------------------------------------
@@ -345,39 +364,44 @@ def subedge_velocity_coeffs(mesh, u):
 
     u is interpolated with the finite element expansion at the sub-edge
     midpoints, which for this element is the average of the two edge
-    values meeting at the sub-edge's vertex.
+    values meeting at the sub-edge's vertex: one cached product with the
+    flat dofs 2*edge + component.
     """
     def build(mesh):
-        ref = np.stack([
-            2.0 * (mesh.sub_midpoints[:, 0] - mesh.cell_centroids[mesh.sub_cell, 0]) / mesh.hx,
-            2.0 * (mesh.sub_midpoints[:, 1] - mesh.cell_centroids[mesh.sub_cell, 1]) / mesh.hy,
-        ], axis=-1)
-        return _frozen(basis_values(ref)), _frozen(mesh.cell_edges[mesh.sub_cell].astype(np.int32))
-    phi, edges = mesh.cached("subedge_interpolation", build)   # (nsub, 4) each
-    umid = np.einsum("sa,sad->sd", phi, np.take(u, edges, axis=0))
-    return mesh.sub_lengths * np.einsum("sd,sd->s", umid, mesh.sub_normals)
+        weight = 0.5 * mesh.sub_lengths[:, None] * mesh.sub_normals       # (nsub, 2)
+        cols = 2 * mesh.sub_pair[:, :, None] + np.arange(2)              # (nsub, 2, 2)
+        return sp.csr_matrix((np.repeat(weight, 2, axis=0).ravel(), cols.ravel(),
+                              np.arange(0, cols.size + 1, 4)),
+                             shape=(mesh.nsubedges, 2 * mesh.nedges))
+    return mesh.cached("subedge_velocity", build) @ np.asarray(u, dtype=float).ravel()
 
 
-def subedge_pattern(mesh):
-    """Scalar diamond stencil: entries (s1,s1), (s1,s2), (s2,s2), (s2,s1)."""
-    def build(mesh):
-        s1, s2 = mesh.sub_pair[:, 0], mesh.sub_pair[:, 1]
-        return Pattern.assemble(np.concatenate([s1, s1, s2, s2]),
-                                np.concatenate([s1, s2, s2, s1]), (mesh.nedges, mesh.nedges))
-    return mesh.cached("subedge_pattern", build)
+def convection_entries(mesh, number=None, subedges=None):
+    """Rows, columns, inputs and signs of the convection matrix's entries from
+    the given sub-edges (all by default), as arrays of shape (2, n, 2, 2):
+    input X or Y (`convection_stencil`), sub-edge, term, velocity component.
+    X_s adds at (s1, s1) and its negative at (s2, s1), Y_s at (s1, s2) and its
+    negative at (s2, s2); rows and columns are flat dofs 2 * number[edge] +
+    component (number[e] = e by default).  Inputs and signs are read-only."""
+    s = np.arange(mesh.nsubedges, dtype=np.int32)
+    s = s if subedges is None else s[subedges]
+    pair = mesh.sub_pair[s] if number is None else number[mesh.sub_pair[s]]
+    dof = 2 * pair.astype(np.int32)[:, :, None] + np.arange(2, dtype=np.int32)
+    shape = (2,) + dof.shape
+    return (np.stack([dof, dof]), np.stack([dof[:, [0, 0]], dof[:, [1, 1]]]),
+            np.broadcast_to(np.stack([s, s + mesh.nsubedges])[:, :, None, None], shape),
+            np.broadcast_to(np.array([1, -1], dtype=np.int8)[:, None], shape))
 
 
-def _subedge_matrix(mesh, a, mode):
-    """Scalar diamond transport stencil from per-sub-edge a, centered or upwind."""
+def convection_stencil(fluxes, mode):
+    """Inputs [X, Y] of the diamond stencil from per-sub-edge fluxes: X = Y
+    = F/2 centered; X = max(F, 0), Y = -max(-F, 0) upwind."""
     if mode == "centered":
-        half = 0.5 * a
-        vals = [half, half, -half, -half]
-    elif mode == "upwind":
-        ap, am = np.maximum(a, 0.0), np.maximum(-a, 0.0)
-        vals = [ap, -am, am, -ap]
-    else:
-        raise ValueError(f"unknown convection mode '{mode}'")
-    return subedge_pattern(mesh).fill(np.concatenate(vals))
+        half = 0.5 * fluxes
+        return half, half
+    if mode == "upwind":
+        return np.maximum(fluxes, 0.0), -np.maximum(-fluxes, 0.0)
+    raise ValueError(f"unknown convection mode '{mode}'")
 
 
 def convection_matrix(mesh, fluxes, mode="centered"):
@@ -387,30 +411,52 @@ def convection_matrix(mesh, fluxes, mode="centered"):
     components get the same scalar stencil; the returned CSR acts on flat
     dofs 2*edge + component over all edges.
     """
-    C = _subedge_matrix(mesh, np.asarray(fluxes, dtype=float), mode)
-
-    def build(mesh):   # kron(C, I2): its pattern and the scalar entry of each entry
-        K = sp.kron(marker(C), sp.identity(2, format="csr"), format="csr")
-        return Pattern(K.indptr, K.indices, K.shape), positions(K.data)
-    pattern, source = mesh.cached("convection_pattern", build)
-    return pattern.fill(C.data[source])
+    def build(mesh):
+        rows, cols, src, sign = (a.ravel() for a in convection_entries(mesh))
+        n = 2 * mesh.nedges
+        return Pattern.assemble(rows, cols, (n, n), src, sign, 2 * mesh.nsubedges)
+    stencil = convection_stencil(np.asarray(fluxes, dtype=float), mode)
+    return mesh.cached("convection_pattern", build).fill(np.concatenate(stencil))
 
 
 # ----------------------------------------------------------------------
 # pressure operator
 
 def pressure_pattern(mesh):
-    """Two-point stencil over interior edges, with every diagonal entry."""
+    """Two-point stencil over interior edges, with every diagonal entry: row
+    j*nx + i holds the cells below, left, itself, right and above, where
+    they exist.
+
+    Its inputs are [c, c, shift]: each interior edge's coefficient c as seen
+    from K, adding at (K, K) and its negative at (K, L), then as seen from L,
+    adding at (L, L) and its negative at (L, K), and a diagonal shift."""
     def build(mesh):
-        internal = mesh.interior_edges
-        K, L = mesh.edge_cells[internal, 0], mesh.edge_cells[internal, 1]
-        cells = np.arange(mesh.ncells)
-        return Pattern.assemble(np.concatenate([K, L, K, L, cells]),
-                                np.concatenate([K, L, L, K, cells]), (mesh.ncells, mesh.ncells))
+        nx, nc = mesh.nx, mesh.ncells
+        j, i = np.divmod(np.arange(nc, dtype=np.int32), nx)
+        below, left, right, above = j > 0, i > 0, i < nx - 1, j < mesh.ny - 1
+        indptr = np.concatenate([[0], np.cumsum(1 + below + left + right + above)])
+        diag = indptr[:-1] + below + left
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        for has, pos, offset in ((below, indptr[:-1], -nx), (left, diag - 1, -1),
+                                 (np.ones(nc, dtype=bool), diag, 0), (right, diag + 1, 1),
+                                 (above, indptr[1:] - 1, nx)):
+            indices[pos[has]] = np.flatnonzero(has) + offset
+        K, L = (mesh.edge_cells[mesh.interior_edges, side] for side in (0, 1))
+        vertical = mesh.interior_edges < mesh.n_vertical        # L = K + 1, else L = K + nx
+        K_to_L = np.where(vertical, diag[K] + 1, indptr[K + 1] - 1)
+        L_to_K = np.where(vertical, diag[L] - 1, indptr[L])
+        slots = [np.stack([diag[K], K_to_L], -1), np.stack([diag[L], L_to_K], -1), diag]
+        m = K.size
+        source = sp.csc_matrix(
+            (np.concatenate([np.tile([1.0, -1.0], 2 * m), np.ones(nc)]),
+             np.concatenate([a.ravel() for a in slots]),
+             np.concatenate([np.arange(0, 4 * m, 2), 4 * m + np.arange(nc + 1)])),
+            shape=(indices.size, 2 * m + nc))
+        return Pattern(indptr, indices, (nc, nc), source)
     return mesh.cached("pressure_pattern", build)
 
 
-def pressure_laplacian(mesh, w, q_up=None):
+def pressure_laplacian(mesh, w, q_up=None, shift=None):
     """Finite-volume pressure operator with edge weights q_up / w.
 
     Entrywise this is the stencil
@@ -419,7 +465,7 @@ def pressure_laplacian(mesh, w, q_up=None):
     and algebraically it equals the composition of the cell divergence,
     the diagonal upwind-density weight, the inverse lumped mass M_w, and
     the negative transposed divergence.  Symmetric PSD; rows sum to zero.
-    The diagonal is always stored, so shifted operators refill in place.
+    A per-cell `shift` is added to the diagonal after the stencil's sum.
     """
     w = np.asarray(w, dtype=float)
     if np.any(w <= 0.0):
@@ -432,8 +478,11 @@ def pressure_laplacian(mesh, w, q_up=None):
         if np.any(q_up < 0.0):
             raise FieldError("upwind weight must be nonnegative")
         q = q_up[internal]
-    c = (q / w[internal]) * mesh.edge_lengths[internal] ** 2 / mesh.diamond_volumes[internal]
-    return pressure_pattern(mesh).fill(np.concatenate([c, c, -c, -c, np.zeros(mesh.ncells)]))
+    sq_length, volume = mesh.cached("interior_diamonds", lambda mesh: (
+        _frozen(mesh.edge_lengths[internal] ** 2), _frozen(mesh.diamond_volumes[internal])))
+    c = (q / w[internal]) * sq_length / volume
+    shift = np.zeros(mesh.ncells) if shift is None else shift
+    return pressure_pattern(mesh).fill(np.concatenate([c, c, shift]))
 
 
 def _neumann_dct(n):
@@ -461,8 +510,8 @@ def pressure_preconditioner(mesh, A, shift=None):
     """
     def build(mesh):
         internal = mesh.interior_edges
-        m = internal.size
-        couples = pressure_pattern(mesh).slot[2 * m:3 * m]   # the (K, L) entries
+        K, L = mesh.edge_cells[internal, 0], mesh.edge_cells[internal, 1]
+        couples = pressure_pattern(mesh).find(K, L)
         vertical = internal < mesh.n_vertical
         return (_neumann_dct(mesh.nx), _neumann_dct(mesh.ny),
                 _frozen(couples[vertical]), _frozen(couples[~vertical]))
@@ -486,14 +535,17 @@ def pressure_preconditioner(mesh, A, shift=None):
 def upwind_cell_density(mesh, rho_cells, u):
     """Cell density upwind of each edge w.r.t. the normal velocity of u.
 
-    On boundary edges the only neighbour, the inner cell, is used.
+    An interior edge's normal points from K to L along +x or +y, so the
+    sign of u's normal component picks the side.  On boundary edges the
+    only neighbour, the inner cell, is used.
     """
     K, L = _edge_cells(mesh)
-    v = mesh.edge_lengths * np.einsum("ed,ed->e", u, mesh.edge_normals)
-    return np.where(v >= 0.0, rho_cells[K], rho_cells[L])
+    _, normal = _incidence(mesh)
+    return np.where(u.ravel()[normal] >= 0.0, rho_cells[K], rho_cells[L])
 
 
 def upwind_mass_balance(mesh, rho, rho_star, u, dt):
     """Upwind edge density and cell mass-balance residual |K| (rho - rho*) / dt + D(rho_up u)."""
     rho_up = upwind_cell_density(mesh, rho, u)
-    return rho_up, mesh.cell_volumes * (rho - rho_star) / dt + divergence(mesh, rho_up[:, None] * u)
+    D, normal = _incidence(mesh)
+    return rho_up, mesh.cell_volumes * (rho - rho_star) / dt + D @ (rho_up * u.ravel()[normal])

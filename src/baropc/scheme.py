@@ -224,27 +224,42 @@ def renormalize_pressure(mesh, state, rho_tilde, config):
 # ----------------------------------------------------------------------
 # step 3: velocity prediction (momentum balance)
 
-def _momentum_plan(mesh, stiffness, convection):
-    """Data positions of the mass diagonal and of the convection couplings
-    (two edges of one cell, same component) on the stiffness pattern, and
-    the blocks of interior rows against interior and boundary columns."""
-    e = mesh.interior_edges
-    idof = np.stack([2 * e, 2 * e + 1], axis=1).ravel().astype(np.int32)
-    interior = np.zeros(stiffness.shape[0], dtype=bool)
-    interior[idof] = True
-    bdof = np.flatnonzero(~interior)
-    marks = ops.marker(stiffness)
-    conv = marks.multiply(ops.marker(convection).sign()).tocsr()
-    if conv.nnz != convection.nnz:
-        raise ValueError("convection couplings outside the stiffness pattern")
-    blocks, inner_rows = [], marks[idof]
-    for cols in (idof, bdof):
-        block = inner_rows[:, cols]
-        block.sort_indices()
-        blocks.append((ops.Pattern(block.indptr, block.indices, block.shape),
-                       ops.positions(block.data)))
-    return SimpleNamespace(diagonal=ops.positions(marks.diagonal()),
-                           conv=ops.positions(conv.data), idof=idof, bdof=bdof, blocks=blocks)
+def _momentum_plan(mesh, stiffness):
+    """The interior rows of the momentum matrix against interior and against
+    boundary columns.  Each block keeps the pattern and values of its part of
+    the stiffness, and a Pattern on it of the convection and mass entries from
+    the inputs [X, Y, mass per dof] (`ops.convection_stencil`, the mass
+    diagonal), summed in that order.  Also the mean interior stiffness diagonal."""
+    interior = ~mesh.edge_is_boundary
+    edges = mesh.interior_edges, mesh.boundary_edges
+    number = np.empty(mesh.nedges, dtype=np.int32)            # an edge's place among its kind
+    for e in edges:
+        number[e] = np.arange(e.size)
+    idof, bdof = ((2 * e[:, None] + np.arange(2)).ravel().astype(np.int32) for e in edges)
+    # sub-edges with two interior edges put all their entries in the interior
+    # block; those with one are sorted entry by entry: an entry's row is a pair
+    # edge, its column the first pair edge for X and the second for Y
+    inside = interior[mesh.sub_pair]
+    full, part = np.flatnonzero(inside.all(1)), np.flatnonzero(inside.any(1) & ~inside.all(1))
+    part_entries, inside = ops.convection_entries(mesh, number, part), inside[part]
+    marks = ops.marker(stiffness)[idof]                       # stiffness positions + 1
+    blocks = [marks[:, block_cols] for block_cols in (idof, bdof)]
+    del marks
+    for k, side in enumerate((True, False)):
+        K = blocks[k]
+        K.sort_indices()
+        mine = np.broadcast_to(inside[None, :, :, None] & (inside.T[:, :, None, None] == side),
+                               part_entries[0].shape)
+        mass = np.arange(idof.size if side else 0, dtype=np.int32)   # the diagonal's last term
+        entries = [ops.convection_entries(mesh, number, full if side else full[:0]),
+                   [a[mine] for a in part_entries],
+                   (mass, mass, 2 * mesh.nsubedges + idof[mass], np.ones(mass.size, np.int8))]
+        rows, cols, src, sign = (np.concatenate([e[i].ravel() for e in entries]) for i in range(4))
+        blocks[k] = (ops.Pattern.assemble(rows, cols, K.shape, src, sign,
+                                          2 * (mesh.nsubedges + mesh.nedges), within=K),
+                     ops._frozen(stiffness.data[K.data - 1]))
+    diagonal = np.mean(stiffness.diagonal()[idof]) if idof.size else 0.0
+    return SimpleNamespace(idof=idof, bdof=bdof, blocks=blocks, viscous_diagonal=diagonal)
 
 
 def predict_velocity(mesh, state, rho_tilde, p_tilde, config,
@@ -258,30 +273,30 @@ def predict_velocity(mesh, state, rho_tilde, p_tilde, config,
     `bc_next` at the new time level moved to the right-hand side.
     """
     dt = config.dt
-    C = ops.convection_matrix(mesh, fluxes, config.convection)
     m_new = np.repeat(mesh.diamond_volumes * rho_tilde, 2) / dt
-    plan = mesh.cached("momentum_plan", lambda mesh: _momentum_plan(mesh, stiffness, C))
-    # (M + C) + K entry by entry, as the sum of the three sparse matrices
-    vals = np.zeros(stiffness.nnz)
-    vals[plan.diagonal] = m_new
-    vals[plan.conv] += C.data
-    vals += stiffness.data
-    (inner, inner_from), (outer, outer_from) = plan.blocks
+    # per stiffness matrix, which the cache keeps alive so that its id stays its own
+    plan = mesh.cached(("momentum_plan", id(stiffness)),
+                       lambda mesh: (stiffness, _momentum_plan(mesh, stiffness)))[1]
+    inputs = np.concatenate([*ops.convection_stencil(fluxes, config.convection), m_new])
 
+    def block(pattern, viscous):   # (C + M) + K entry by entry, as the sum of the three matrices
+        A = pattern.fill(inputs)
+        A.data += viscous
+        return A
+    A_ii, A_ib = (block(*b) for b in plan.blocks)
     rhs = (mesh.diamond_volumes * rho_edge_n)[:, None] / dt * state.u
     rhs -= ops.gradient(mesh, p_tilde)
     rhs += config.forcing(mesh, state.t + dt)
     rhs = rhs.ravel()
 
     idof = plan.idof
-    A_ii = inner.fill(vals[inner_from])
-    rhs_i = rhs[idof] - outer.fill(vals[outer_from]) @ bc_next.ravel()[plan.bdof]
+    rhs_i = rhs[idof] - A_ib @ bc_next.ravel()[plan.bdof]
     precond = None
     if idof.size:
         # the sine-transform inverse of mean mass + viscous part pays off
         # when viscosity dominates the diagonal; else Jacobi is as good
         m_bar = np.mean(m_new[idof])
-        if np.mean(stiffness.data[plan.diagonal[idof]]) > m_bar:
+        if plan.viscous_diagonal > m_bar:
             precond = ops.momentum_preconditioner(mesh, config.mu, m_bar)
     x, report = _solve("momentum solve", bicgstab_solve, A_ii, rhs_i, config.lin,
                        x0=state.u.ravel()[idof], precond=precond)
@@ -326,7 +341,6 @@ def projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, config):
 
     p_k, u_k, q, q_mean = p_tilde, u_tilde, np.zeros_like(p_tilde), 0.0
     history, cg_iterations = [], 0
-    on_diagonal = ops.pressure_pattern(mesh).diagonal
 
     def mass_balance(p, u, where):
         """Density, upwind density and mass-balance residual of an iterate."""
@@ -341,9 +355,8 @@ def projection_step(mesh, state, rho_tilde, p_tilde, u_tilde, config):
 
     rho_k, rho_up_k, res_k = mass_balance(p_k, u_k, "starting iterate")
     for k in range(1, PROJ_MAXIT + 1):
-        A = ops.pressure_laplacian(mesh, rho_tilde, rho_up_k)
         shift = r_dt2 * config.eos.drho_dp(p_k)             # the Newton shift
-        A.data[on_diagonal] += shift
+        A = ops.pressure_laplacian(mesh, rho_tilde, rho_up_k, shift)
         b = -res_k / dt
         d, solve = _solve("projection pressure solve", cg_solve, A, b, lin,
                           precond=ops.pressure_preconditioner(mesh, A, shift))

@@ -138,6 +138,31 @@ def subedges_per_cell(mesh):
             mids.reshape(-1, 2), normals.reshape(-1, 2))
 
 
+def subedge_coeffs_per_cell(mesh, u):
+    """|eps| u(m_eps) . n_eps per sub-edge, u expanded in the element basis of
+    the sub-edge's cell at the midpoint of the cell-by-cell geometry."""
+    cell, _, lengths, mids, normals = subedges_per_cell(mesh)
+    return np.array([lengths[s] * (interpolate_velocity(mesh, u, cell[s], mids[s]) @ normals[s])
+                     for s in range(cell.size)])
+
+
+def upwind_mass_balance_per_cell(mesh, rho, rho_star, u, dt):
+    """Upwind edge density and cell mass-balance residual, cell by cell: each
+    edge of a cell carries |sigma| rho_up u . n with n its normal out of the
+    cell and rho_up the density of the cell the flow leaves (the inner cell
+    on the boundary)."""
+    rho_up = np.empty(mesh.nedges)
+    res = mesh.cell_volumes * (rho - rho_star) / dt
+    for k in range(mesh.ncells):
+        for e in mesh.cell_edges[k]:
+            out = mesh.edge_midpoints[e] - mesh.cell_centroids[k]
+            flux = mesh.edge_lengths[e] * (u[e] @ out) / np.hypot(*out)
+            across = [c for c in mesh.edge_cells[e] if c not in (k, -1)]
+            rho_up[e] = rho[k] if flux >= 0.0 or not across else rho[across[0]]
+            res[k] += rho_up[e] * flux
+    return rho_up, res
+
+
 def viscous_stiffness_dense(mesh, mu):
     """Dense viscous stiffness and its stored pattern, each cell's coupled
     8x8 block added in turn."""

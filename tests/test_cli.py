@@ -210,6 +210,15 @@ def test_nonfinite_pressure_solve_exits_one(tmp_path, capsys, monkeypatch):
     assert "not finite" in capsys.readouterr().err
 
 
+def test_stalled_projection_exits_one(tmp_path, capsys):
+    # proj_eps below the rounding floor of this run's mass residual (about 2e-11)
+    rc = main(["stability", "--mesh", "32x32", "--dt", "10", "--eos", "affine",
+               "--proj-eps", "1e-12", "--steps", "4", "--seed", "3", "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert re.search(r"projection did not converge in 100 iterations "
+                     r"\(residual .*, target 1\.000e-12\)", capsys.readouterr().err)
+
+
 def test_stability_deterministic_output(tmp_path):
     args = ["stability", "--mesh", "5x5", "--dt", "0.1", "--steps", "4",
             "--seed", "2", "--lin-tol", "1e-12", "--proj-eps", "1e-10"]

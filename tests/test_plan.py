@@ -15,6 +15,8 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from baropc import operators as ops
 from baropc import scheme as sch
@@ -130,6 +132,63 @@ def test_refilled_matrices_equal_fresh_assembly(monkeypatch, rng, nx, ny, domain
     assert_same_matrix(cg[0][0], expect)
 
 
+@st.composite
+def coo_entries(draw):
+    """A shape up to 6x6 and up to 16 entries in scrambled places, with
+    duplicates and empty rows.  Each entry holds x[i] itself (weight None),
+    or weight * x[src], listed by input and no two of one input at one place."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    n = draw(st.integers(0, 16))
+    rows, cols = (np.array(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)),
+                           dtype=int) for m in shape)
+    size = draw(st.integers(1, 8))
+    src = np.sort(draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n))).astype(int)
+    assume(len(set(zip(rows, cols, src))) == n)
+    weight = draw(st.none() | st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n))
+    x = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=size, max_size=size)))
+    return shape, rows, cols, src, weight, x
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          phases=[Phase.explicit, Phase.generate, Phase.shrink])
+@given(coo_entries())
+@example(((1, 1), np.zeros(3, dtype=int), np.zeros(3, dtype=int), np.arange(3), None,
+          np.array([1.0, 1e16, -1e16])))      # 0 in entry order, 1 in reverse
+def test_refilled_pattern_equals_scipy_coo_sum(entries):
+    """A refilled pattern is scipy's COO -> CSR conversion of its entries, bit
+    for bit (up to the sign of a zero sum).  At most 16 entries keep scipy's
+    sort of a row stable, so both add duplicates in entry order."""
+    shape, rows, cols, src, weight, x = entries
+    if weight is None:                 # each entry its own input
+        x = vals = np.resize(x, rows.size)
+        pattern = ops.Pattern.assemble(rows, cols, shape)
+    else:
+        pattern = ops.Pattern.assemble(rows, cols, shape, src, weight, x.size)
+        vals = np.asarray(weight) * x[src]
+    got = pattern.fill(x)
+    expect = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(expect, name))
+
+
+@pytest.mark.parametrize("nx, ny, domain", MESHES)
+def test_subedge_coefficients_and_upwind_mass_balance_cell_by_cell(rng, nx, ny, domain):
+    """The sub-edge velocity coefficients (the mean of the pair's edge values)
+    equal the element's expansion at the midpoints, and the upwind mass
+    balance (one product with the signed incidence) the cell-by-cell sum of
+    upwind fluxes, to 1e-14 relative, with nonzero boundary normal velocity."""
+    mesh = build_rect_mesh(nx, ny, domain)
+    u = rng.uniform(-1.0, 1.0, (mesh.nedges, 2))
+    expect = oracles.subedge_coeffs_per_cell(mesh, u)
+    got = ops.subedge_velocity_coeffs(mesh, u)
+    assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+    rho, rho_star = (smooth_cell_field(mesh, rng, amp=0.3) for _ in range(2))
+    rho_up, res = ops.upwind_mass_balance(mesh, rho, rho_star, u, 0.07)
+    expect_up, expect_res = oracles.upwind_mass_balance_per_cell(mesh, rho, rho_star, u, 0.07)
+    np.testing.assert_array_equal(rho_up, expect_up)
+    assert np.abs(res - expect_res).max() <= 1e-14 * np.abs(expect_res).max()
+
+
 @pytest.mark.parametrize("nx, ny, domain", MESHES)
 def test_every_subedge_joins_a_vertical_and_a_horizontal_diamond(nx, ny, domain):
     """The density graph is bipartite: the first diamond of each sub-edge is
@@ -190,11 +249,9 @@ def test_viscous_stiffness_equals_cell_by_cell_assembly(nx, ny, domain, mu):
 
 
 @pytest.mark.parametrize("nx, ny, domain", MESHES)
-def test_momentum_plan_boundary_dofs_complement_interior_dofs(rng, nx, ny, domain):
+def test_momentum_plan_boundary_dofs_complement_interior_dofs(nx, ny, domain):
     mesh = build_rect_mesh(nx, ny, domain)
-    fluxes = rng.uniform(-1.0, 1.0, mesh.nsubedges)
-    plan = sch._momentum_plan(mesh, ops.viscous_stiffness(mesh, 0.05),
-                              ops.convection_matrix(mesh, fluxes, "centered"))
+    plan = sch._momentum_plan(mesh, ops.viscous_stiffness(mesh, 0.05))
     both = np.concatenate([plan.idof, plan.bdof])
     np.testing.assert_array_equal(np.sort(both), np.arange(2 * mesh.nedges))
     np.testing.assert_array_equal(
@@ -277,7 +334,9 @@ def test_step_computes_shared_fields_once(monkeypatch):
     """A step computes the fields its stages share once: the old edge
     density (the second edge density is the new one, in the velocity
     renormalization), the sub-edge velocity coefficients, the boundary data
-    and the forcing at the new time; the viscous stiffness is the Stepper's."""
+    and the forcing at the new time; the viscous stiffness is the Stepper's.
+    The pressure operators and mass balances follow the projection's passes
+    (the benchmark's per-layer counts rely on them)."""
     case = ver.SmoothFlowCase()
     mesh = build_rect_mesh(8, 8, case.domain)
     config = ver.make_config(case, 0.025)
@@ -288,20 +347,25 @@ def test_step_computes_shared_fields_once(monkeypatch):
     def count(owner, name):
         fn = getattr(owner, name)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
-    for name in ("edge_density", "subedge_velocity_coeffs", "viscous_stiffness"):
+    shared = ("edge_density", "subedge_velocity_coeffs", "viscous_stiffness")
+    for name in (*shared, "pressure_laplacian", "upwind_mass_balance"):
         count(ops, name)
     for name in ("bc", "forcing"):
         count(config, name)
     for _ in range(3):
-        calls.update(edge_density=0, subedge_velocity_coeffs=0, viscous_stiffness=0,
-                     bc=0, forcing=0)
-        state, _ = stepper.step(state)
+        calls.update(dict.fromkeys([*shared, "pressure_laplacian", "upwind_mass_balance",
+                                    "bc", "forcing"], 0))
+        state, report = stepper.step(state)
+        passes = report.inner_iterations
+        # the renormalization's two operators, then one per projection pass; one
+        # mass balance for the starting iterate, then one per pass
         assert calls == {"edge_density": 2, "subedge_velocity_coeffs": 1,
-                         "viscous_stiffness": 0, "bc": 1, "forcing": 1}
+                         "viscous_stiffness": 0, "bc": 1, "forcing": 1,
+                         "pressure_laplacian": 2 + passes, "upwind_mass_balance": 1 + passes}
 
 
 def test_interleaved_meshes_match_fresh_runs():
@@ -365,12 +429,6 @@ def test_step_report_counts_projection_cg_iterations(monkeypatch, rng):
     assert report.solver_iterations["projection"] == sum(passes)
 
 
-def shifted_pressure(mesh, w, shift):
-    A = ops.pressure_laplacian(mesh, w)
-    A.data[ops.pressure_pattern(mesh).diagonal] += shift
-    return A
-
-
 @pytest.mark.parametrize("nx, ny, domain", MESHES)
 def test_pressure_preconditioner_inverts_constant_coefficients(rng, nx, ny, domain):
     """With constant weights the preconditioner is the exact inverse, so
@@ -378,7 +436,7 @@ def test_pressure_preconditioner_inverts_constant_coefficients(rng, nx, ny, doma
     mesh = build_rect_mesh(nx, ny, domain)
     w = np.full(mesh.nedges, 0.7)
     shift = np.full(mesh.ncells, 0.3)
-    A = shifted_pressure(mesh, w, shift)
+    A = ops.pressure_laplacian(mesh, w, shift=shift)
     b = rng.normal(size=mesh.ncells)
     precond = ops.pressure_preconditioner(mesh, A, shift)
     assert np.abs(A @ precond(b) - b).max() <= 1e-12 * np.abs(b).max()
@@ -402,7 +460,7 @@ def test_pressure_preconditioner_variable_coefficients(rng, nx, ny, domain):
     mesh = build_rect_mesh(nx, ny, domain)
     w = rng.uniform(0.5, 2.0, mesh.nedges)
     shift = rng.uniform(1e-6, 1e-3, mesh.ncells)
-    A = shifted_pressure(mesh, w, shift)
+    A = ops.pressure_laplacian(mesh, w, shift=shift)
     b = rng.normal(size=mesh.ncells)
     x, report = cg_solve(A, b, SolverConfig(rel_tol=1e-12),
                          precond=ops.pressure_preconditioner(mesh, A, shift))
