@@ -170,10 +170,10 @@ def _write_fields_csv(path, mesh, state):
                 fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _checked(fn, *args):
-    """fn(*args), with the ValueError of a bad input raised as a ConfigError."""
+def _checked(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with the ValueError of a bad input raised as a ConfigError."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except ValueError as err:
         raise ConfigError(str(err))
 
@@ -231,8 +231,8 @@ def _cmd_convergence(cfg):
     dts = cfg.dt_list or [0.1, 0.05, 0.025, 0.0125]
     for dt in dts:
         _checked(step_count, cfg.t_end, dt)
-    rows, orders = convergence_study(meshes, dts, t_end=cfg.t_end, case=case,
-                                     domain=cfg.domain, **_settings(cfg))
+    rows, orders = _checked(convergence_study, meshes, dts, t_end=cfg.t_end, case=case,
+                            domain=cfg.domain, **_settings(cfg))
     os.makedirs(cfg.outdir, exist_ok=True)
     write_convergence_csv(os.path.join(cfg.outdir, "convergence.csv"), rows)
     for (nx, ny), fitted in orders.items():

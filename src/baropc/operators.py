@@ -168,7 +168,8 @@ def gradient(mesh, q):
 # fixed sparsity patterns
 
 def _frozen(a):
-    a.flags.writeable = False
+    for x in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
+        x.flags.writeable = False
     return a
 
 

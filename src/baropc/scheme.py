@@ -262,21 +262,26 @@ def _momentum_plan(mesh, stiffness):
     return SimpleNamespace(idof=idof, bdof=bdof, blocks=blocks, viscous_diagonal=diagonal)
 
 
-def predict_velocity(mesh, state, rho_tilde, p_tilde, config,
-                     fluxes, stiffness, rho_edge_n, bc_next):
+def _stiffness(mesh, mu):
+    """`ops.viscous_stiffness(mesh, mu)`, built once per mesh and mu, read-only."""
+    return mesh.cached(("viscous_stiffness", mu),
+                       lambda mesh: ops._frozen(ops.viscous_stiffness(mesh, mu)))
+
+
+def predict_velocity(mesh, state, rho_tilde, p_tilde, config, fluxes, rho_edge_n, bc_next):
     """Semi-implicit momentum solve for the tentative velocity.
 
     The convection matrix is built from the same mass fluxes as the
     density prediction (that compatibility is the point of step 1), the
     pressure force uses the discrete gradient of the renormalized
     pressure, and Dirichlet rows are eliminated with the boundary data
-    `bc_next` at the new time level moved to the right-hand side.
+    `bc_next` at the new time level moved to the right-hand side.  The
+    stiffness and the matrices' refill plan are the mesh's at config.mu.
     """
     dt = config.dt
     m_new = np.repeat(mesh.diamond_volumes * rho_tilde, 2) / dt
-    # per stiffness matrix, which the cache keeps alive so that its id stays its own
-    plan = mesh.cached(("momentum_plan", id(stiffness)),
-                       lambda mesh: (stiffness, _momentum_plan(mesh, stiffness)))[1]
+    plan = mesh.cached(("momentum_plan", config.mu),
+                       lambda mesh: _momentum_plan(mesh, _stiffness(mesh, config.mu)))
     inputs = np.concatenate([*ops.convection_stencil(fluxes, config.convection), m_new])
 
     def block(pattern, viscous):   # (C + M) + K entry by entry, as the sum of the three matrices
@@ -405,12 +410,12 @@ def renormalize_velocity(mesh, u_bar, rho_new, rho_tilde, bc_next):
 # one full step
 
 class Stepper:
-    """Caches the mesh-dependent immutable operators across steps."""
+    """Steps one config on one mesh; the fixed operators are the mesh's cached ones."""
 
     def __init__(self, mesh, config):
         self.mesh = mesh
         self.config = config
-        self.stiffness = ops.viscous_stiffness(mesh, config.mu)
+        self.stiffness = _stiffness(mesh, config.mu)
 
     def step(self, state):
         """Run steps 1-5 once; returns the new state and a step report.
@@ -427,7 +432,7 @@ class Stepper:
         fluxes = mass_fluxes(mesh, coeffs, rho_tilde)
         p_tilde, rep2 = renormalize_pressure(mesh, state, rho_tilde, config)
         u_tilde, rep3 = predict_velocity(mesh, state, rho_tilde, p_tilde, config,
-                                         fluxes, self.stiffness, rho_edge_n, bc_next)
+                                         fluxes, rho_edge_n, bc_next)
         u_bar, p_new, rho_new, proj = projection_step(
             mesh, state, rho_tilde, p_tilde, u_tilde, config)
         u_new = renormalize_velocity(mesh, u_bar, rho_new, rho_tilde, bc_next)

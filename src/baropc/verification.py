@@ -246,19 +246,18 @@ def fit_order(dts, errors):
     return float(slope), last + 1
 
 
-def _study_cell(job):
-    """One (mesh, dt) run; module level so process pools can pickle it."""
+def _study_cells(job):
+    """A mesh size's runs at the given dts, all on one mesh; module level for process pools."""
     from .mesh import build_rect_mesh
 
-    nx, ny, dt, domain, t_end, case, config_kwargs = job
+    nx, ny, dts, domain, t_end, case, config_kwargs = job
     mesh = build_rect_mesh(nx, ny, domain)
-    _, info = run_smooth_flow(mesh, dt, t_end, case, **config_kwargs)
-    return {
-        "nx": nx, "ny": ny, "dt": dt,
-        "err_v_L2": info["err_v"], "err_p_L2": info["err_p"],
-        "inner_iter_mean": info["inner_mean"],
-        "wall_seconds": info["wall_seconds"],
-    }
+    rows = []
+    for dt in dts:
+        _, info = run_smooth_flow(mesh, dt, t_end, case, **config_kwargs)
+        rows.append(dict(nx=nx, ny=ny, dt=dt, err_v_L2=info["err_v"], err_p_L2=info["err_p"],
+                         inner_iter_mean=info["inner_mean"], wall_seconds=info["wall_seconds"]))
+    return rows
 
 
 def study_workers():
@@ -276,21 +275,26 @@ def convergence_study(mesh_sizes, dts, t_end=0.5, case=None, domain=None,
 
     Returns (rows, orders): one row per run with the errors at t_end,
     and per-mesh fitted temporal orders for velocity and pressure.
-    Runs the cells on `study_workers()` processes; the rows do not depend
-    on that number.
+    Sequentially all dts of a mesh size share one mesh; on `study_workers()`
+    > 1 processes each (mesh, dt) cell builds its own; the rows are the
+    same.  ValueError if a mesh size or a dt is listed twice.
     """
     case = case or SmoothFlowCase()
     domain = domain or case.domain
-    jobs = [(nx, ny, dt, domain, t_end, case, config_kwargs)
-            for (nx, ny) in mesh_sizes for dt in dts]
-
+    for what, items in (("mesh", [f"{nx}x{ny}" for nx, ny in mesh_sizes]), ("dt", list(dts))):
+        for twice in (x for i, x in enumerate(items) if x in items[:i]):
+            raise ValueError(f"convergence study lists {what} {twice} twice")
     workers = study_workers()
+    cells = [(dt,) for dt in dts] if workers > 1 else [tuple(dts)]
+    jobs = [(nx, ny, cell, domain, t_end, case, config_kwargs)
+            for (nx, ny) in mesh_sizes for cell in cells]
+
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_study_cell, jobs))
+            rows = [row for cell in pool.map(_study_cells, jobs) for row in cell]
     else:
-        rows = [_study_cell(job) for job in jobs]
+        rows = [row for job in jobs for row in _study_cells(job)]
 
     orders = {}
     for nx, ny in mesh_sizes:

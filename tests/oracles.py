@@ -257,11 +257,11 @@ def density_inputs(mesh, state):
 
 
 def momentum_inputs(mesh, state, config, rho_tilde):
-    """The mass fluxes, the viscous stiffness, the old edge density and the
-    boundary data at the new time, in `predict_velocity`'s order."""
+    """The mass fluxes, the old edge density and the boundary data at the
+    new time, in `predict_velocity`'s order."""
     rho_edge_n, coeffs = density_inputs(mesh, state)
-    return (sch.mass_fluxes(mesh, coeffs, rho_tilde), ops.viscous_stiffness(mesh, config.mu),
-            rho_edge_n, config.bc(mesh, state.t + config.dt))
+    return (sch.mass_fluxes(mesh, coeffs, rho_tilde), rho_edge_n,
+            config.bc(mesh, state.t + config.dt))
 
 
 def predict(mesh, state, config):

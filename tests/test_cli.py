@@ -7,6 +7,7 @@ import pytest
 
 from baropc import operators as ops
 from baropc import cli
+from baropc import verification as ver
 from baropc.cli import ConfigError, build_parser, main, parse_config, perturbed_initial_state
 from baropc.eos import AffineLaw, PowerLaw
 from baropc.mesh import build_rect_mesh
@@ -383,6 +384,21 @@ def test_convergence_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, thr
     err = capsys.readouterr().err
     assert err.startswith("config error: BAROPC_THREADS must be a positive integer")
     assert repr(threads) in err
+    assert not (tmp_path / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize("lists, repeated", [
+    (["--mesh-list", "8x8;8x8", "--dt-list", "0.1;0.05;0.025"], "mesh 8x8"),
+    (["--mesh-list", "8x8", "--dt-list", "0.1;0.1;0.05;0.025"], "dt 0.1"),
+])
+def test_convergence_rejects_a_repeated_mesh_or_dt(tmp_path, capsys, monkeypatch, lists, repeated):
+    """A repeated mesh would write its rows twice and a repeated dt stops the
+    order fit at the equal pair (order nan): both are config errors, raised
+    before any run starts."""
+    monkeypatch.setattr(ver, "run_smooth_flow", lambda *a, **kw: pytest.fail("a run started"))
+    rc = main(["convergence", *lists, "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: convergence study lists {repeated} twice\n"
     assert not (tmp_path / "convergence.csv").exists()
 
 

@@ -106,7 +106,7 @@ def test_refilled_matrices_equal_fresh_assembly(monkeypatch, rng, nx, ny, domain
                        oracles.convection_coo(mesh, fluxes, mode))
     p_tilde, _ = sch.renormalize_pressure(mesh, state, rho_tilde, config)
     u_tilde, _ = sch.predict_velocity(mesh, state, rho_tilde, p_tilde, config,
-                                      fluxes, stiffness, rho_edge, bc)
+                                      fluxes, rho_edge, bc)
     A_ii, b_i = bicgstab[1]
     expect_ii, expect_ib = oracles.momentum_coo(mesh, rho_tilde, config.dt, fluxes,
                                                 mode, stiffness)
@@ -406,6 +406,43 @@ def test_interleaved_meshes_match_fresh_runs():
                 sines_x, sines_y, _ = mesh.cached("momentum_dst", missing)
                 for (S1, S2, *_), n in ((sines_x, nx), (sines_y, ny)):
                     assert S1.shape == (n - 1, n - 1) and S2.shape == (n, n)
+
+
+def test_steppers_on_one_mesh_share_one_stiffness_and_plan_per_mu():
+    """Steppers of three dts at each of two viscosities, stepped alternately on
+    one mesh, reproduce their runs on separate meshes bitwise.  The mesh's
+    cache then holds one read-only stiffness and one momentum plan per
+    viscosity, however many Steppers use them; mu = 0.2 puts the momentum
+    solves on the sine-transform preconditioner."""
+    domain = ver.SmoothFlowCase.domain
+    configs = [(mu, dt) for mu in (1e-2, 0.2) for dt in (0.05, 0.1, 0.025)]
+
+    def start(mesh, mu, dt):
+        case = ver.SmoothFlowCase(mu=mu)
+        return sch.Stepper(mesh, ver.make_config(case, dt)), ver.initial_exact_state(case, mesh)
+
+    def fields(state):
+        return np.concatenate([state.u.ravel(), state.p, state.rho, state.rho_edge_pred])
+
+    fresh = [fields(stepper.run(state, 3))
+             for stepper, state in (start(build_rect_mesh(6, 5, domain), *c) for c in configs)]
+    mesh = build_rect_mesh(6, 5, domain)
+    live = [start(mesh, *c) for c in configs]
+    states = [state for _, state in live]
+    for _ in range(3):
+        for i, (stepper, _) in enumerate(live):
+            states[i], _ = stepper.step(states[i])
+    for got, expect in zip(states, fresh, strict=True):
+        np.testing.assert_array_equal(fields(got), expect)
+    per_mu = sorted(key for key in mesh._cache
+                    if key[0] in ("viscous_stiffness", "momentum_plan"))
+    assert per_mu == [(kind, mu) for kind in ("momentum_plan", "viscous_stiffness")
+                      for mu in (1e-2, 0.2)]
+    for (stepper, _), (mu, _) in zip(live, configs):
+        assert stepper.stiffness is mesh.cached(("viscous_stiffness", mu), None)
+        assert not any(a.flags.writeable for a in (stepper.stiffness.data,
+                                                   stepper.stiffness.indices,
+                                                   stepper.stiffness.indptr))
 
 
 def test_step_report_counts_projection_cg_iterations(monkeypatch, rng):

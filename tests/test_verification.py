@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from baropc.linsolve import SolverConfig
+from baropc import mesh as mesh_module
 from baropc.mesh import build_rect_mesh
 from baropc import operators as ops
+from baropc import scheme as sch
 from baropc import verification as ver
 from baropc.verification import SmoothFlowCase
 
@@ -283,16 +285,54 @@ def test_run_smooth_flow_validates_step_count():
         ver.run_smooth_flow(mesh, 0.3, t_end=0.5)
 
 
-def test_convergence_study_parallel_matches_sequential(monkeypatch):
-    args = ([(4, 4)], [0.1, 0.05])
-    kwargs = dict(t_end=0.2, lin=SolverConfig(rel_tol=1e-10), proj_eps=1e-8)
+STUDY = ([(4, 4), (5, 3)], [0.1, 0.05, 0.025])
+STUDY_KWARGS = dict(t_end=0.2, lin=SolverConfig(rel_tol=1e-10), proj_eps=1e-8)
+STUDY_COLUMNS = ("nx", "ny", "dt", "err_v_L2", "err_p_L2", "inner_iter_mean")
+
+
+def test_convergence_study_builds_each_mesh_once(monkeypatch):
+    """A sequential study runs every dt of a mesh size on one mesh: the mesh,
+    its viscous stiffness and its momentum plan are built once per size, and
+    the rows are bitwise those of a fresh mesh per run.  A second study builds
+    its meshes again, so no cache outlives its study."""
+    calls = {}
+
+    def count(owner, name):
+        fn, calls[name] = getattr(owner, name), 0
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    for owner, name in ((mesh_module, "build_rect_mesh"), (ops, "viscous_stiffness"),
+                        (sch, "_momentum_plan")):
+        count(owner, name)
     monkeypatch.setenv("BAROPC_THREADS", "1")
-    seq, _ = ver.convergence_study(*args, **kwargs)
+    for _ in range(2):
+        calls.update(dict.fromkeys(calls, 0))
+        rows, _ = ver.convergence_study(*STUDY, **STUDY_KWARGS)
+        assert calls == dict.fromkeys(calls, len(STUDY[0]))
+    monkeypatch.undo()
+    case = SmoothFlowCase()
+    fresh = []
+    for nx, ny in STUDY[0]:
+        for dt in STUDY[1]:
+            mesh = build_rect_mesh(nx, ny, case.domain)
+            _, info = ver.run_smooth_flow(mesh, dt, case=case, **STUDY_KWARGS)
+            fresh.append((nx, ny, dt, info["err_v"], info["err_p"], info["inner_mean"]))
+    assert [tuple(row[c] for c in STUDY_COLUMNS) for row in rows] == fresh
+
+
+def test_convergence_study_parallel_matches_sequential(monkeypatch):
+    """Pool cells build a mesh each, the sequential study one per size: the
+    rows agree over more than one mesh size."""
+    monkeypatch.setenv("BAROPC_THREADS", "1")
+    seq, _ = ver.convergence_study(*STUDY, **STUDY_KWARGS)
     monkeypatch.setenv("BAROPC_THREADS", "2")
-    par, _ = ver.convergence_study(*args, **kwargs)
-    for a, b in zip(seq, par):
-        assert a["err_v_L2"] == b["err_v_L2"]
-        assert a["err_p_L2"] == b["err_p_L2"]
+    par, _ = ver.convergence_study(*STUDY, **STUDY_KWARGS)
+    assert len(seq) == len(STUDY[0]) * len(STUDY[1])
+    for a, b in zip(seq, par, strict=True):
+        assert [a[c] for c in STUDY_COLUMNS] == [b[c] for c in STUDY_COLUMNS]
 
 
 # ----------------------------------------------------------------------
