@@ -78,8 +78,8 @@ def _parse_domain(text):
         x0, x1, y0, y1 = vals = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise ConfigError(f"malformed domain '{text}', expected x0,x1,y0,y1")
-    if not (x1 > x0 and y1 > y0):
-        raise ConfigError(f"degenerate or inverted domain '{text}'")
+    if not (0.0 < x1 - x0 < np.inf and 0.0 < y1 - y0 < np.inf):
+        raise ConfigError(f"degenerate, inverted or unbounded domain '{text}'")
     return vals
 
 
@@ -189,7 +189,7 @@ def _smooth_case(cfg):
     if cfg.eos != "affine":
         raise ConfigError(f"{cfg.command} runs the smooth exact-flow problem, "
                           "which is tied to eos = affine")
-    return SmoothFlowCase(gamma=cfg.gamma, mach=cfg.mach, mu=cfg.mu)
+    return _checked(SmoothFlowCase, gamma=cfg.gamma, mach=cfg.mach, mu=cfg.mu)
 
 
 def _advance_with_ledger(mesh, config, state, nsteps, outdir):

@@ -82,11 +82,14 @@ class AffineLaw:
     name = "affine"
 
     def __init__(self, gamma=1.4, mach=0.5):
-        if gamma <= 0.0 or mach <= 0.0:
-            raise ValueError("affine law requires gamma > 0 and mach > 0")
-        self.gamma = float(gamma)
-        self.mach = float(mach)
-        self.coeff = self.gamma * self.mach ** 2
+        self.gamma, self.mach = float(gamma), float(mach)
+        try:
+            self.coeff = self.gamma * self.mach ** 2
+        except OverflowError:
+            self.coeff = np.inf
+        if not (self.mach > 0.0 and 0.0 < self.coeff < np.inf):
+            raise ValueError("affine law requires mach > 0 and 0 < gamma*Ma^2 < inf, got "
+                             f"gamma {gamma}, mach {mach}")
 
     def rho(self, p):
         return _positive(1.0 + self.coeff * np.asarray(p, dtype=float),

@@ -38,8 +38,8 @@ class RectMesh:
         if nx < 1 or ny < 1:
             raise MeshError(f"cell counts must be >= 1, got {nx}x{ny}")
         x0, x1, y0, y1 = map(float, domain)
-        if not (x1 > x0 and y1 > y0):
-            raise MeshError(f"degenerate or inverted domain {domain}")
+        if not (0.0 < x1 - x0 < np.inf and 0.0 < y1 - y0 < np.inf):
+            raise MeshError(f"degenerate, inverted or unbounded domain {domain}")
 
         self.nx, self.ny = nx, ny
         self.domain = (x0, x1, y0, y1)

@@ -219,17 +219,13 @@ class Pattern:
 
     def find(self, rows, cols):
         """Data positions of the stored entries (rows[i], cols[i])."""
-        marks = np.asarray(marker(self)[rows, cols]).ravel() if len(rows) else np.ones(0, int)
+        # 1, 2, ..., nnz on the pattern: entries read back as position + 1, 0 where unstored
+        marker = sp.csr_matrix((np.arange(1, self.nnz + 1, dtype=np.int32), self.indices,
+                                self.indptr), shape=self.shape)
+        marks = np.asarray(marker[rows, cols]).ravel() if len(rows) else np.ones(0, int)
         if np.any(marks == 0):
             raise ValueError("entries outside the sparsity pattern")
         return _frozen(marks - 1)
-
-
-def marker(A):
-    """A matrix on A's pattern holding 1, 2, ..., nnz: slices and samples of
-    it read back where the selected entries sit in A, 0 where none does."""
-    return sp.csr_matrix((np.arange(1, A.nnz + 1, dtype=np.int32), A.indices, A.indptr),
-                         shape=A.shape)
 
 
 # ----------------------------------------------------------------------
@@ -302,11 +298,11 @@ def _dirichlet_sines(n):
 
 
 def momentum_preconditioner(mesh, mu, mass):
-    """Fast solver r -> z for the interior momentum block, viscous part.
+    """Fast solver r -> z for the momentum matrix's interior rows, viscous part.
 
-    z is the exact inverse of mass * I + K_c applied to r, on the
-    interior dofs in `scheme` order (interior edges, vertical ones first,
-    two components each).  K_c is the interior block of
+    r and z are flat vectors over all dofs (2 * edge + component); z is the
+    exact inverse of mass * I + K_c applied to the interior entries of r,
+    and 0 on the boundary dofs.  K_c is the interior block of
     `viscous_stiffness(mesh, mu)` without the div-div coupling of u1 and
     u2; since |2 dx u1 dy u2| <= |grad u|^2 pointwise, K_c and the full
     block are spectrally equivalent with constants 3/4 and 5/4.  Per
@@ -340,20 +336,24 @@ def momentum_preconditioner(mesh, mu, mass):
     inv_v[:, :ny - 1] = d / det
     inv_h[:, :, :nx - 1] = a / det
     inv_vh = -beta / det
-    nv = ny * (nx - 1)
+    nv = 2 * mesh.n_vertical                 # the vertical edges' dofs, row by row of nx + 1
 
     def apply(r):
-        r = r.reshape(-1, 2)
-        V = S2y @ r[:nv].reshape(ny, nx - 1, 2).transpose(2, 0, 1) @ S1x.T
-        H = S1y @ r[nv:].reshape(ny - 1, nx, 2).transpose(2, 0, 1) @ S2x.T
+        # the transform across rows of edges takes a row's dofs as one block
+        rows_v = r[:nv].reshape(ny, 2 * (nx + 1))[:, 2:-2]
+        rows_h = r[nv:].reshape(ny + 1, 2 * nx)[1:-1]
+        V = (S2y @ rows_v).reshape(ny, nx - 1, 2).transpose(2, 0, 1) @ S1x.T
+        H = (S1y @ rows_h).reshape(ny - 1, nx, 2).transpose(2, 0, 1) @ S2x.T
         Zv = inv_v * V
         Zv[:, :ny - 1, :nx - 1] += inv_vh * H[:, :, :nx - 1]
         Zh = inv_h * H
         Zh[:, :, :nx - 1] += inv_vh * V[:, :ny - 1, :nx - 1]
-        z = np.empty_like(r)
-        z[:nv] = (S2y.T @ Zv @ S1x).transpose(1, 2, 0).reshape(-1, 2)
-        z[nv:] = (S1y.T @ Zh @ S2x).transpose(1, 2, 0).reshape(-1, 2)
-        return z.ravel()
+        z = np.zeros_like(r)
+        z[:nv].reshape(ny, 2 * (nx + 1))[:, 2:-2] = (
+            S2y.T @ (Zv @ S1x).transpose(1, 2, 0).reshape(ny, 2 * (nx - 1)))
+        z[nv:].reshape(ny + 1, 2 * nx)[1:-1] = (
+            S1y.T @ (Zh @ S2x).transpose(1, 2, 0).reshape(ny - 1, 2 * nx))
+        return z
     return apply
 
 
@@ -377,17 +377,15 @@ def subedge_velocity_coeffs(mesh, u):
     return mesh.cached("subedge_velocity", build) @ np.asarray(u, dtype=float).ravel()
 
 
-def convection_entries(mesh, number=None, subedges=None):
-    """Rows, columns, inputs and signs of the convection matrix's entries from
-    the given sub-edges (all by default), as arrays of shape (2, n, 2, 2):
-    input X or Y (`convection_stencil`), sub-edge, term, velocity component.
-    X_s adds at (s1, s1) and its negative at (s2, s1), Y_s at (s1, s2) and its
-    negative at (s2, s2); rows and columns are flat dofs 2 * number[edge] +
-    component (number[e] = e by default).  Inputs and signs are read-only."""
+def convection_entries(mesh):
+    """Rows, columns, inputs and signs of the convection matrix's entries, as
+    arrays of shape (2, nsub, 2, 2): input X or Y (`convection_stencil`),
+    sub-edge, term, velocity component.  X_s adds at (s1, s1) and its
+    negative at (s2, s1), Y_s at (s1, s2) and its negative at (s2, s2); rows
+    and columns are flat dofs 2 * edge + component.  Inputs and signs are
+    read-only."""
     s = np.arange(mesh.nsubedges, dtype=np.int32)
-    s = s if subedges is None else s[subedges]
-    pair = mesh.sub_pair[s] if number is None else number[mesh.sub_pair[s]]
-    dof = 2 * pair.astype(np.int32)[:, :, None] + np.arange(2, dtype=np.int32)
+    dof = 2 * mesh.sub_pair.astype(np.int32)[:, :, None] + np.arange(2, dtype=np.int32)
     shape = (2,) + dof.shape
     return (np.stack([dof, dof]), np.stack([dof[:, [0, 0]], dof[:, [1, 1]]]),
             np.broadcast_to(np.stack([s, s + mesh.nsubedges])[:, :, None, None], shape),

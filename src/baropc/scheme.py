@@ -225,41 +225,25 @@ def renormalize_pressure(mesh, state, rho_tilde, config):
 # step 3: velocity prediction (momentum balance)
 
 def _momentum_plan(mesh, stiffness):
-    """The interior rows of the momentum matrix against interior and against
-    boundary columns.  Each block keeps the pattern and values of its part of
-    the stiffness, and a Pattern on it of the convection and mass entries from
-    the inputs [X, Y, mass per dof] (`ops.convection_stencil`, the mass
-    diagonal), summed in that order.  Also the mean interior stiffness diagonal."""
-    interior = ~mesh.edge_is_boundary
-    edges = mesh.interior_edges, mesh.boundary_edges
-    number = np.empty(mesh.nedges, dtype=np.int32)            # an edge's place among its kind
-    for e in edges:
-        number[e] = np.arange(e.size)
-    idof, bdof = ((2 * e[:, None] + np.arange(2)).ravel().astype(np.int32) for e in edges)
-    # sub-edges with two interior edges put all their entries in the interior
-    # block; those with one are sorted entry by entry: an entry's row is a pair
-    # edge, its column the first pair edge for X and the second for Y
-    inside = interior[mesh.sub_pair]
-    full, part = np.flatnonzero(inside.all(1)), np.flatnonzero(inside.any(1) & ~inside.all(1))
-    part_entries, inside = ops.convection_entries(mesh, number, part), inside[part]
-    marks = ops.marker(stiffness)[idof]                       # stiffness positions + 1
-    blocks = [marks[:, block_cols] for block_cols in (idof, bdof)]
-    del marks
-    for k, side in enumerate((True, False)):
-        K = blocks[k]
-        K.sort_indices()
-        mine = np.broadcast_to(inside[None, :, :, None] & (inside.T[:, :, None, None] == side),
-                               part_entries[0].shape)
-        mass = np.arange(idof.size if side else 0, dtype=np.int32)   # the diagonal's last term
-        entries = [ops.convection_entries(mesh, number, full if side else full[:0]),
-                   [a[mine] for a in part_entries],
-                   (mass, mass, 2 * mesh.nsubedges + idof[mass], np.ones(mass.size, np.int8))]
-        rows, cols, src, sign = (np.concatenate([e[i].ravel() for e in entries]) for i in range(4))
-        blocks[k] = (ops.Pattern.assemble(rows, cols, K.shape, src, sign,
-                                          2 * (mesh.nsubedges + mesh.nedges), within=K),
-                     ops._frozen(stiffness.data[K.data - 1]))
-    diagonal = np.mean(stiffness.diagonal()[idof]) if idof.size else 0.0
-    return SimpleNamespace(idof=idof, bdof=bdof, blocks=blocks, viscous_diagonal=diagonal)
+    """The momentum matrix over all velocity dofs on the stiffness pattern.
+
+    An interior row holds the convection and mass entries from the inputs
+    [X, Y, mass per dof] (`ops.convection_stencil`, the mass diagonal), summed
+    in that order, plus its stiffness values.  A boundary row is an identity
+    row: its mass input is 1 and its stiffness values are 0.  Also which dofs
+    are interior, and the mean interior stiffness diagonal."""
+    interior = np.repeat(~mesh.edge_is_boundary, 2)
+    convection = [a.ravel() for a in ops.convection_entries(mesh)]
+    keep, dof = interior[convection[0]], np.arange(interior.size, dtype=np.int32)
+    rows, cols, src, sign = (np.concatenate([a[keep], b]) for a, b in zip(
+        convection, (dof, dof, 2 * mesh.nsubedges + dof, np.ones(dof.size, np.int8))))
+    pattern = ops.Pattern.assemble(rows, cols, stiffness.shape, src, sign,
+                                   2 * mesh.nsubedges + dof.size, within=stiffness)
+    row_interior = np.repeat(interior, np.diff(stiffness.indptr))
+    viscous = ops._frozen(np.where(row_interior, stiffness.data, 0.0))
+    diagonal = np.mean(stiffness.diagonal()[interior]) if interior.any() else 0.0
+    return SimpleNamespace(pattern=pattern, viscous=viscous, interior=ops._frozen(interior),
+                           viscous_diagonal=diagonal)
 
 
 def _stiffness(mesh, mu):
@@ -274,41 +258,39 @@ def predict_velocity(mesh, state, rho_tilde, p_tilde, config, fluxes, rho_edge_n
     The convection matrix is built from the same mass fluxes as the
     density prediction (that compatibility is the point of step 1), the
     pressure force uses the discrete gradient of the renormalized
-    pressure, and Dirichlet rows are eliminated with the boundary data
-    `bc_next` at the new time level moved to the right-hand side.  The
-    stiffness and the matrices' refill plan are the mesh's at config.mu.
+    pressure, and the boundary data `bc_next` at the new time level are
+    the Dirichlet values.  The matrix spans all dofs, with identity rows
+    on the boundary ones (`_momentum_plan`).  BiCGStab solves for x = u - g,
+    where g is the boundary data with zero interior rows, from a right-hand
+    side and a start that vanish on the boundary dofs: every Krylov vector
+    then vanishes there too, so the iteration is the interior solve.  The
+    stiffness and the matrix's refill plan are the mesh's at config.mu.
     """
     dt = config.dt
-    m_new = np.repeat(mesh.diamond_volumes * rho_tilde, 2) / dt
     plan = mesh.cached(("momentum_plan", config.mu),
                        lambda mesh: _momentum_plan(mesh, _stiffness(mesh, config.mu)))
-    inputs = np.concatenate([*ops.convection_stencil(fluxes, config.convection), m_new])
-
-    def block(pattern, viscous):   # (C + M) + K entry by entry, as the sum of the three matrices
-        A = pattern.fill(inputs)
-        A.data += viscous
-        return A
-    A_ii, A_ib = (block(*b) for b in plan.blocks)
+    interior = plan.interior
+    m_new = np.repeat(mesh.diamond_volumes * rho_tilde, 2) / dt
+    inputs = np.concatenate([*ops.convection_stencil(fluxes, config.convection),
+                             np.where(interior, m_new, 1.0)])
+    A = plan.pattern.fill(inputs)          # (C + M) + K entry by entry, as the sum of the three
+    A.data += plan.viscous
     rhs = (mesh.diamond_volumes * rho_edge_n)[:, None] / dt * state.u
     rhs -= ops.gradient(mesh, p_tilde)
     rhs += config.forcing(mesh, state.t + dt)
-    rhs = rhs.ravel()
+    g = np.where(interior, 0.0, bc_next.ravel())
+    b = np.where(interior, rhs.ravel() - A @ g, 0.0)
 
-    idof = plan.idof
-    rhs_i = rhs[idof] - A_ib @ bc_next.ravel()[plan.bdof]
     precond = None
-    if idof.size:
+    if interior.any():
         # the sine-transform inverse of mean mass + viscous part pays off
         # when viscosity dominates the diagonal; else Jacobi is as good
-        m_bar = np.mean(m_new[idof])
+        m_bar = np.mean(m_new[interior])
         if plan.viscous_diagonal > m_bar:
             precond = ops.momentum_preconditioner(mesh, config.mu, m_bar)
-    x, report = _solve("momentum solve", bicgstab_solve, A_ii, rhs_i, config.lin,
-                       x0=state.u.ravel()[idof], precond=precond)
-    u_tilde = bc_next.copy()
-    flat = u_tilde.ravel()
-    flat[idof] = x
-    return u_tilde, report
+    x, report = _solve("momentum solve", bicgstab_solve, A, b, config.lin,
+                       x0=np.where(interior, state.u.ravel(), 0.0), precond=precond)
+    return (g + x).reshape(-1, 2), report
 
 
 # ----------------------------------------------------------------------

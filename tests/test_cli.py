@@ -60,7 +60,9 @@ def test_malformed_values(tmp_path):
                         ("dt = fast\n", "malformed value"),
                         ("eos = stiffened\n", "unknown eos"),
                         ("convection = quick\n", "unknown convection"),
-                        ("domain = 1,0,0,1\n", "inverted")]:
+                        ("domain = 1,0,0,1\n", "inverted"),
+                        ("domain = 0,inf,0,1\n", "unbounded"),
+                        ("domain = 0,1,nan,1\n", "unbounded")]:
         path = tmp_path / "bad.cfg"
         path.write_text(text)
         with pytest.raises(ConfigError, match=match):
@@ -356,6 +358,27 @@ def test_simulate_steps_to_a_multiple_of_dt(tmp_path, capsys):
     assert rc == 0
     ledger = (tmp_path / "ledger.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in ledger[1:]] == ["0", "1", "2", "3"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stability", "--mach", "1e200", "--steps", "2"], "gamma*Ma^2"),
+    (["simulate", "--dt", "0.25", "--t-end", "0.5", "--mach", "1e200"], "gamma*Ma^2"),
+    (["convergence", "--dt-list", "0.1;0.05", "--mach", "1e200"], "gamma*Ma^2"),
+    (["stability", "--mach", "1e-200", "--steps", "2"], "gamma*Ma^2"),
+    (["simulate", "--dt", "0.25", "--t-end", "0.5", "--mach", "1e-200"], "gamma*Ma^2"),
+    (["convergence", "--dt-list", "0.1;0.05", "--mach", "1e-200"], "gamma*Ma^2"),
+    (["stability", "--domain=0,inf,0,1", "--steps", "2"], "unbounded domain"),
+    (["simulate", "--domain=-inf,1,0,1"], "unbounded domain"),
+])
+def test_affine_coefficient_and_domain_out_of_range_are_config_errors(tmp_path, capsys,
+                                                                       argv, message):
+    """An affine law whose gamma*Ma^2 over- or underflows, and a domain with a
+    non-finite bound, stop every subcommand before it writes anything."""
+    rc = main([*argv, "--mesh", "4x4", "--outdir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_invalid_config_exit_code(capsys, tmp_path):

@@ -102,6 +102,18 @@ def test_domain_errors():
         make_eos("tabulated")
 
 
+@pytest.mark.parametrize("gamma, mach", [
+    (1.4, 1e200),            # Ma^2 overflows
+    (1e300, 1e10),           # gamma * Ma^2 overflows
+    (1.4, 1e-200),           # Ma^2 underflows to 0
+    (1.4, np.inf), (np.nan, 0.5), (1.4, np.nan), (0.0, 0.5), (-1.4, 0.5), (1.4, 0.0),
+    (1.4, -0.5),
+])
+def test_affine_law_needs_a_positive_finite_coefficient(gamma, mach):
+    with pytest.raises(ValueError, match="0 < gamma\\*Ma\\^2 < inf"):
+        AffineLaw(gamma, mach)
+
+
 def test_make_eos_dispatch():
     assert isinstance(make_eos("power", 1.4), PowerLaw)
     assert isinstance(make_eos("linear"), LinearLaw)

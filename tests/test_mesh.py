@@ -121,6 +121,11 @@ def test_construction_errors():
         build_rect_mesh(2, 2, (1.0, 0.0, 0.0, 1.0))
     with pytest.raises(MeshError):
         build_rect_mesh(2, 2, (0.0, 1.0, 0.5, 0.5))
+    # a non-finite bound, or a width past the largest float, gives no mesh width
+    for domain in ((0.0, np.inf, 0.0, 1.0), (-np.inf, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, np.nan),
+                   (-np.inf, np.inf, 0.0, 1.0), (0.0, 1.0, -1e308, 1e308)):
+        with pytest.raises(MeshError, match="unbounded"):
+            build_rect_mesh(2, 2, domain)
 
 
 def test_mesh_arrays_frozen():

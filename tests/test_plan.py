@@ -57,13 +57,15 @@ def schur_on_vertical(mesh, A):
 
 
 def capture(monkeypatch, name):
-    """Record (A, b) of every call of the Krylov solver `name` in scheme."""
+    """Record (A, b, x) of every call of the Krylov solver `name` in scheme."""
     calls = []
     solve = getattr(sch, name)
 
     def recording(A, b, *args, **kwargs):
-        calls.append((A, np.array(b)))
-        return solve(A, b, *args, **kwargs)
+        b = np.array(b)
+        x, report = solve(A, b, *args, **kwargs)
+        calls.append((A, b, x))
+        return x, report
     monkeypatch.setattr(sch, name, recording)
     return calls
 
@@ -75,50 +77,74 @@ def moving_state(mesh, eos, rng):
     return sch.SchemeState(0.0, u, eos.pressure(rho), rho, ops.edge_density(mesh, rho))
 
 
-@pytest.mark.parametrize("nx, ny, domain", MESHES)
-@pytest.mark.parametrize("mu", [0.0, 0.05])
-@pytest.mark.parametrize("mode", ["centered", "upwind"])
-def test_refilled_matrices_equal_fresh_assembly(monkeypatch, rng, nx, ny, domain, mu, mode):
+def interior_dofs(mesh):
+    """Which flat dofs 2 * edge + component belong to interior edges."""
+    return np.repeat(~mesh.edge_is_boundary, 2)
+
+
+def moving_case(rng, nx, ny, domain, mu, mode):
+    """A mesh, a Power-law config with random nonzero boundary data, the
+    data and a `moving_state`."""
     mesh = build_rect_mesh(nx, ny, domain)
     eos = PowerLaw(1.4)
     bc = 0.2 * rng.uniform(-1.0, 1.0, (mesh.nedges, 2))
     config = sch.SchemeConfig(dt=0.07, mu=mu, eos=eos, convection=mode,
                               lin=SolverConfig(rel_tol=1e-12, abs_tol=1e-15),
                               boundary_values=lambda mesh, t: bc)
-    state = moving_state(mesh, eos, rng)
+    return mesh, config, bc, moving_state(mesh, eos, rng)
+
+
+def interior_momentum_system(mesh, state, config, rho_tilde, p_tilde, bc):
+    """The oracle's interior rows of the momentum matrix against interior and
+    against boundary columns, and the interior right-hand side with the
+    boundary data moved to it."""
+    rho_edge, a = oracles.density_inputs(mesh, state)
+    fluxes = sch.mass_fluxes(mesh, a, rho_tilde)
+    expect_ii, expect_ib = oracles.momentum_coo(mesh, rho_tilde, config.dt, fluxes,
+                                                config.convection,
+                                                ops.viscous_stiffness(mesh, config.mu))
+    rhs = ((mesh.diamond_volumes * rho_edge)[:, None] / config.dt * state.u
+           - ops.gradient(mesh, p_tilde)).ravel()
+    inner = interior_dofs(mesh)
+    return expect_ii, expect_ib, rhs[inner] - expect_ib @ bc.ravel()[~inner]
+
+
+@pytest.mark.parametrize("nx, ny, domain", MESHES)
+@pytest.mark.parametrize("mu", [0.0, 0.05])
+@pytest.mark.parametrize("mode", ["centered", "upwind"])
+def test_refilled_matrices_equal_fresh_assembly(monkeypatch, rng, nx, ny, domain, mu, mode):
+    mesh, config, bc, state = moving_case(rng, nx, ny, domain, mu, mode)
+    eos = config.eos
     bicgstab = capture(monkeypatch, "bicgstab_solve")
     cg = capture(monkeypatch, "cg_solve")
-    stiffness = ops.viscous_stiffness(mesh, mu)
 
     # density prediction: the Schur complement of the upwind diamond system
     # on the vertical diamonds, applied without being formed
     rho_edge, a = oracles.density_inputs(mesh, state)
     rho_tilde, _ = sch.predict_density(mesh, state, config, rho_edge, a)
-    S_density, _ = bicgstab[0]
+    S_density = bicgstab[0][0]
     expect = schur_on_vertical(mesh, oracles.density_matrix_coo(mesh, a, config.dt, state.u))
     got = np.column_stack([S_density @ e for e in np.eye(mesh.n_vertical)])
     assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
     np.testing.assert_array_equal(S_density.diagonal(), np.diag(got))
 
-    # convection and the momentum blocks on the stiffness pattern
+    # convection, and the momentum matrix's interior rows on the stiffness
+    # pattern: against the interior columns, and against the boundary ones,
+    # which carry the boundary data into b
     fluxes = sch.mass_fluxes(mesh, a, rho_tilde)
     assert_same_matrix(ops.convection_matrix(mesh, fluxes, mode),
                        oracles.convection_coo(mesh, fluxes, mode))
     p_tilde, _ = sch.renormalize_pressure(mesh, state, rho_tilde, config)
     u_tilde, _ = sch.predict_velocity(mesh, state, rho_tilde, p_tilde, config,
                                       fluxes, rho_edge, bc)
-    A_ii, b_i = bicgstab[1]
-    expect_ii, expect_ib = oracles.momentum_coo(mesh, rho_tilde, config.dt, fluxes,
-                                                mode, stiffness)
-    assert_same_matrix(A_ii, expect_ii)
-    rhs = ((mesh.diamond_volumes * ops.edge_density(mesh, state.rho))[:, None]
-           / config.dt * state.u - ops.gradient(mesh, p_tilde)).ravel()
-    inner = np.zeros(2 * mesh.nedges, dtype=bool)
-    inner[2 * mesh.interior_edges] = True
-    inner[2 * mesh.interior_edges + 1] = True
-    expect_b = rhs[inner] - expect_ib @ bc.ravel()[~inner]
+    A, b, _ = bicgstab[1]
+    expect_ii, expect_ib, expect_b = interior_momentum_system(mesh, state, config,
+                                                              rho_tilde, p_tilde, bc)
+    inner = interior_dofs(mesh)
+    assert_same_matrix(A[inner][:, inner], expect_ii)
+    assert_same_matrix(A[inner][:, ~inner], expect_ib)
     scale = max(np.abs(expect_b).max(initial=0.0), 1.0)
-    assert np.abs(b_i - expect_b).max(initial=0.0) <= 1e-13 * scale
+    assert np.abs(b[inner] - expect_b).max(initial=0.0) <= 1e-13 * scale
 
     # pressure operator and the first Newton-shifted projection matrix
     w = rng.uniform(0.5, 2.0, mesh.nedges)
@@ -130,6 +156,32 @@ def test_refilled_matrices_equal_fresh_assembly(monkeypatch, rng, nx, ny, domain
     expect = oracles.pressure_coo(mesh, rho_tilde, ops.upwind_cell_density(mesh, rho_k, u_tilde),
                                   shift=shift)
     assert_same_matrix(cg[0][0], expect)
+
+
+@pytest.mark.parametrize("nx, ny, domain", MESHES)
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+@pytest.mark.parametrize("mode", ["centered", "upwind"])
+def test_full_dof_momentum_solve_is_the_interior_solve(monkeypatch, rng, nx, ny, domain,
+                                                       mu, mode):
+    """The momentum BiCGStab runs on all dofs, with identity rows on the
+    boundary ones: its right-hand side and solution are exactly 0 there, the
+    tentative velocity's boundary rows are the data bit for bit, and its
+    interior solution is that of the interior system with the boundary data
+    moved to the right-hand side, to 1e-9 relative.  mu = 0 keeps the solve
+    on Jacobi, mu = 1 puts it on the sine-transform preconditioner."""
+    mesh, config, bc, state = moving_case(rng, nx, ny, domain, mu, mode)
+    bicgstab = capture(monkeypatch, "bicgstab_solve")
+    rho_tilde, p_tilde, u_tilde = oracles.predict(mesh, state, config)
+    _, b, x = bicgstab[-1]
+    inner = interior_dofs(mesh)
+    np.testing.assert_array_equal(b[~inner], 0.0)
+    np.testing.assert_array_equal(x[~inner], 0.0)
+    bnd = mesh.boundary_edges
+    np.testing.assert_array_equal(u_tilde[bnd], bc[bnd])
+    expect_ii, _, expect_b = interior_momentum_system(mesh, state, config,
+                                                      rho_tilde, p_tilde, bc)
+    expect, _ = bicgstab_solve(expect_ii, expect_b, config.lin, x0=state.u.ravel()[inner])
+    assert np.abs(x[inner] - expect).max(initial=0.0) <= 1e-9 * np.abs(expect).max(initial=0.0)
 
 
 @st.composite
@@ -249,13 +301,20 @@ def test_viscous_stiffness_equals_cell_by_cell_assembly(nx, ny, domain, mu):
 
 
 @pytest.mark.parametrize("nx, ny, domain", MESHES)
-def test_momentum_plan_boundary_dofs_complement_interior_dofs(nx, ny, domain):
+def test_momentum_plan_boundary_dofs_complement_interior_dofs(rng, nx, ny, domain):
+    """The plan's interior dofs are 2 e + c of the interior edges e, and a
+    matrix filled from any inputs whose mass input is 1 on the boundary dofs
+    holds identity rows there: 1 on the diagonal, every other entry 0."""
     mesh = build_rect_mesh(nx, ny, domain)
     plan = sch._momentum_plan(mesh, ops.viscous_stiffness(mesh, 0.05))
-    both = np.concatenate([plan.idof, plan.bdof])
-    np.testing.assert_array_equal(np.sort(both), np.arange(2 * mesh.nedges))
-    np.testing.assert_array_equal(
-        plan.bdof, (2 * mesh.boundary_edges[:, None] + np.arange(2)).ravel())
+    expect = np.zeros(2 * mesh.nedges, dtype=bool)
+    expect[(2 * mesh.interior_edges[:, None] + np.arange(2)).ravel()] = True
+    np.testing.assert_array_equal(plan.interior, expect)
+    mass = np.where(plan.interior, rng.uniform(1.0, 2.0, expect.size), 1.0)
+    A = plan.pattern.fill(np.concatenate([rng.normal(size=2 * mesh.nsubedges), mass]))
+    A.data += plan.viscous
+    bdof = np.flatnonzero(~plan.interior)
+    np.testing.assert_array_equal(A[bdof].toarray(), np.eye(expect.size)[bdof])
 
 
 def test_reduced_density_solve_halves_the_bicgstab_count():
@@ -538,21 +597,25 @@ def momentum_blocks(mesh, mu):
     (8, 8, (0.0, 2.0, 0.0, 1.0)),           # hx / hy = 2
 ])
 def test_momentum_preconditioner_inverts_mean_mass_viscous_operator(rng, nx, ny, domain):
-    """The preconditioner is the exact inverse of m I + K_c, and m I + K_c
-    is spectrally equivalent to m I + K_ii with constants 3/4 and 5/4."""
+    """On the interior dofs of a full-dof vector the preconditioner is the
+    exact inverse of m I + K_c, and it is exactly 0 on the boundary dofs;
+    m I + K_c is spectrally equivalent to m I + K_ii with constants 3/4 and
+    5/4."""
     mesh = build_rect_mesh(nx, ny, domain)
     mu = 0.05
     K_ii, K_c = momentum_blocks(mesh, mu)
     n = K_ii.shape[0]
+    inner = interior_dofs(mesh)
     for mass in (1e-3, 0.37, 40.0):
         precond = ops.momentum_preconditioner(mesh, mu, mass)
-        r = rng.normal(size=n)
+        r = rng.normal(size=2 * mesh.nedges)
         z = precond(r)
-        assert z.shape == (n,)
+        assert z.shape == r.shape
+        np.testing.assert_array_equal(z[~inner], 0.0)
         if n == 0:
             continue
-        expect = np.linalg.solve(mass * np.eye(n) + K_c, r)
-        assert np.abs(z - expect).max() <= 1e-13 * np.abs(expect).max()
+        expect = np.linalg.solve(mass * np.eye(n) + K_c, r[inner])
+        assert np.abs(z[inner] - expect).max() <= 1e-13 * np.abs(expect).max()
         lam = scipy.linalg.eigh(mass * np.eye(n) + K_ii, mass * np.eye(n) + K_c,
                                 eigvals_only=True)
         assert 0.75 - 1e-12 <= lam.min() and lam.max() <= 1.25 + 1e-12
