@@ -25,7 +25,7 @@ from .mesh import build_rect_mesh
 from .scheme import SchemeConfig, SchemeError, Stepper, initial_state
 from .verification import (SmoothFlowCase, convergence_study, error_norms,
                            initial_exact_state, make_config, step_count,
-                           study_workers, write_convergence_csv)
+                           write_convergence_csv)
 
 
 class ConfigError(ValueError):
@@ -225,7 +225,6 @@ def _cmd_simulate(cfg):
 
 
 def _cmd_convergence(cfg):
-    _checked(study_workers)
     case = _smooth_case(cfg)
     meshes = cfg.mesh_list or [cfg.mesh]
     dts = cfg.dt_list or [0.1, 0.05, 0.025, 0.0125]

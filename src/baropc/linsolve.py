@@ -64,13 +64,16 @@ def _jacobi(A):
 
 
 def _start(A, b, config, precond):
-    """The checked right-hand side, the stopping target max(rel_tol |b|,
+    """The checked right-hand side, the finite stopping target max(rel_tol |b|,
     abs_tol), the preconditioner (Jacobi by default) and the iteration cap."""
     config = config or SolverConfig()
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
         raise LinearSolverError("right-hand side is not finite")
     target = max(config.rel_tol * np.linalg.norm(b), config.abs_tol)
+    if not np.isfinite(target):
+        raise LinearSolverError(
+            f"stopping target is not finite: {target} (rel_tol {config.rel_tol})")
     return b, target, precond or _jacobi(A), config.iterations(b.size)
 
 

@@ -45,12 +45,12 @@ class SchemeConfig:
     forcing_rhs: object = None            # callable(mesh, t) -> (nedges, 2)
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.mu < 0.0:
-            raise ValueError("viscosity must be nonnegative")
-        if self.proj_eps <= 0.0:
-            raise ValueError("projection tolerance must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0.0 <= self.mu < np.inf:
+            raise ValueError("viscosity must be nonnegative and finite")
+        if not 0.0 < self.proj_eps < np.inf:
+            raise ValueError("projection tolerance must be positive and finite")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("relaxation must lie in (0, 1]")
         if self.convection not in ("centered", "upwind"):

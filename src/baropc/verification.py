@@ -10,11 +10,11 @@ gradient; without that treatment the nonconforming element's gradient
 inconsistency would pollute the convergence study.
 """
 
-import os
 import time as _time
 
 import numpy as np
 
+from . import mesh as mesh_module
 from . import operators as ops
 from .diagnostics import csv_number
 from .eos import AffineLaw
@@ -246,63 +246,31 @@ def fit_order(dts, errors):
     return float(slope), last + 1
 
 
-def _study_cells(job):
-    """A mesh size's runs at the given dts, all on one mesh; module level for process pools."""
-    from .mesh import build_rect_mesh
-
-    nx, ny, dts, domain, t_end, case, config_kwargs = job
-    mesh = build_rect_mesh(nx, ny, domain)
-    rows = []
-    for dt in dts:
-        _, info = run_smooth_flow(mesh, dt, t_end, case, **config_kwargs)
-        rows.append(dict(nx=nx, ny=ny, dt=dt, err_v_L2=info["err_v"], err_p_L2=info["err_p"],
-                         inner_iter_mean=info["inner_mean"], wall_seconds=info["wall_seconds"]))
-    return rows
-
-
-def study_workers():
-    """Worker processes of a convergence study: the BAROPC_THREADS
-    environment variable, a positive integer (1, sequential, when unset)."""
-    raw = os.environ.get("BAROPC_THREADS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"BAROPC_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
 def convergence_study(mesh_sizes, dts, t_end=0.5, case=None, domain=None,
                       **config_kwargs):
     """Run the exact-flow problem on every (mesh, dt) pair.
 
     Returns (rows, orders): one row per run with the errors at t_end,
-    and per-mesh fitted temporal orders for velocity and pressure.
-    Sequentially all dts of a mesh size share one mesh; on `study_workers()`
-    > 1 processes each (mesh, dt) cell builds its own; the rows are the
-    same.  ValueError if a mesh size or a dt is listed twice.
+    and per-mesh fitted temporal orders for velocity and pressure.  All
+    dts of a mesh size share one mesh.  ValueError if a mesh size or a
+    dt is listed twice.
     """
     case = case or SmoothFlowCase()
     domain = domain or case.domain
     for what, items in (("mesh", [f"{nx}x{ny}" for nx, ny in mesh_sizes]), ("dt", list(dts))):
         for twice in (x for i, x in enumerate(items) if x in items[:i]):
             raise ValueError(f"convergence study lists {what} {twice} twice")
-    workers = study_workers()
-    cells = [(dt,) for dt in dts] if workers > 1 else [tuple(dts)]
-    jobs = [(nx, ny, cell, domain, t_end, case, config_kwargs)
-            for (nx, ny) in mesh_sizes for cell in cells]
-
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = [row for cell in pool.map(_study_cells, jobs) for row in cell]
-    else:
-        rows = [row for job in jobs for row in _study_cells(job)]
-
-    orders = {}
+    rows, orders = [], {}
     for nx, ny in mesh_sizes:
-        sub = [r for r in rows if (r["nx"], r["ny"]) == (nx, ny)]
-        sub_dts = [r["dt"] for r in sub]
-        ov, _ = fit_order(sub_dts, [r["err_v_L2"] for r in sub])
-        op_, _ = fit_order(sub_dts, [r["err_p_L2"] for r in sub])
-        orders[(nx, ny)] = {"velocity": ov, "pressure": op_}
+        mesh = mesh_module.build_rect_mesh(nx, ny, domain)
+        sub = []
+        for dt in dts:
+            _, info = run_smooth_flow(mesh, dt, t_end, case, **config_kwargs)
+            sub.append(dict(nx=nx, ny=ny, dt=dt, err_v_L2=info["err_v"], err_p_L2=info["err_p"],
+                            inner_iter_mean=info["inner_mean"], wall_seconds=info["wall_seconds"]))
+        orders[(nx, ny)] = {name: fit_order(dts, [r[col] for r in sub])[0]
+                            for name, col in (("velocity", "err_v_L2"), ("pressure", "err_p_L2"))}
+        rows += sub
     return rows, orders
 
 

@@ -243,3 +243,16 @@ def test_nonfinite_rhs_rejected():
         cg_solve(A, np.array([1.0, np.nan, 0.0]))
     with pytest.raises(LinearSolverError):
         bicgstab_solve(A, np.array([np.inf, 0.0, 0.0]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("solver", [cg_solve, bicgstab_solve])
+@pytest.mark.parametrize("rel_tol, scale", [(np.nan, 1.0), (np.inf, 1.0), (1e-10, 1e200)])
+def test_nonfinite_stopping_target_rejected_before_iterating(solver, rel_tol, scale):
+    """A nan target never stops the iteration and an inf one accepts any
+    residual, so both fail before the first iteration; |b| overflowing to
+    inf (the last case) gives such a target from a finite tolerance."""
+    A = sp.identity(3, format="csr")
+    with pytest.raises(LinearSolverError, match="stopping target is not finite"):
+        solver(A, np.full(3, scale), SolverConfig(rel_tol=rel_tol),
+               precond=lambda r: pytest.fail("the solver iterated"))

@@ -43,6 +43,16 @@ def equilibrium_state(mesh, eos):
 # ----------------------------------------------------------------------
 # initialization
 
+@pytest.mark.parametrize("name", ["dt", "mu", "proj_eps"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_scheme_config_rejects_a_nonfinite_value(name, value):
+    """nan passes a bare sign test and inf makes a useless step or target;
+    the config rejects both, as the CLI parser does."""
+    values = dict(dt=0.1, mu=1e-2, proj_eps=1e-8) | {name: value}
+    with pytest.raises(ValueError, match="finite"):
+        SchemeConfig(eos=AffineLaw(), **values)
+
+
 def test_initial_state_samples_fields():
     mesh = build_rect_mesh(3, 3)
     eos = PowerLaw(1.4)
