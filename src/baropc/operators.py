@@ -177,18 +177,17 @@ class Pattern:
     """Fixed CSR sparsity whose values are one fixed linear map of per-call inputs.
 
     `assemble` lists COO entries, each a multiple of one input, and `fill(x)`
-    sums each stored entry's terms in the order of their inputs: one cached
-    CSC product, whose columns are the inputs, or a plain gather where every
-    stored entry is one input.  Listed by input, the entries are thus summed
-    in entry order, as scipy's COO -> CSR conversion does, so a refilled
-    matrix equals a fresh COO assembly entry for entry.  All matrices of a
-    pattern share its read-only index arrays.
+    is one cached CSC product `source @ x`, whose columns are the inputs: it
+    sums each stored entry's terms in the order of their inputs.  Listed by
+    input, the entries are thus summed in entry order, as scipy's COO -> CSR
+    conversion does, so a refilled matrix equals a fresh COO assembly entry
+    for entry.  All matrices of a pattern share its read-only index arrays.
     """
 
-    def __init__(self, indptr, indices, shape, source=None):
+    def __init__(self, indptr, indices, shape, source):
         self.indptr = _frozen(np.asarray(indptr, dtype=np.int32))
         self.indices = _frozen(np.asarray(indices, dtype=np.int32))
-        self.shape, self.source, self.nnz = shape, source, self.indices.size
+        self.shape, self.source = shape, source
 
     @classmethod
     def assemble(cls, rows, cols, shape, src=None, weight=None, size=None, within=None):
@@ -201,31 +200,21 @@ class Pattern:
         """
         if within is None:                    # scipy's COO -> CSR structure of the entries
             within = sp.csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=shape)
-        within = cls(within.indptr, within.indices, shape)
-        slot, nnz = within.find(rows, cols), within.nnz
+        nnz = within.nnz
+        # 1, 2, ..., nnz on the pattern: entries read back as slot + 1, 0 where unstored
+        marker = sp.csr_matrix((np.arange(1, nnz + 1, dtype=np.int32), within.indices,
+                                within.indptr), shape=shape)
+        slot = (np.asarray(marker[rows, cols]).ravel() if len(rows) else np.ones(0, int)) - 1
+        if np.any(slot < 0):
+            raise ValueError("entries outside the sparsity pattern")
         src = np.arange(len(slot)) if src is None else src
-        if weight is None and len(slot) == nnz and np.all(np.bincount(slot, minlength=nnz)):
-            source = np.empty(nnz, dtype=np.int32)            # one input per stored entry
-            source[slot] = src
-        else:
-            weight = np.ones(len(slot)) if weight is None else np.asarray(weight, dtype=float)
-            source = sp.csc_matrix((weight, (slot, src)),
-                                   shape=(nnz, len(slot) if size is None else size))
+        weight = np.ones(len(slot)) if weight is None else np.asarray(weight, dtype=float)
+        source = sp.csc_matrix((weight, (slot, src)),
+                               shape=(nnz, len(slot) if size is None else size))
         return cls(within.indptr, within.indices, shape, source)
 
     def fill(self, x):
-        data = self.source @ x if sp.issparse(self.source) else x[self.source]
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
-
-    def find(self, rows, cols):
-        """Data positions of the stored entries (rows[i], cols[i])."""
-        # 1, 2, ..., nnz on the pattern: entries read back as position + 1, 0 where unstored
-        marker = sp.csr_matrix((np.arange(1, self.nnz + 1, dtype=np.int32), self.indices,
-                                self.indptr), shape=self.shape)
-        marks = np.asarray(marker[rows, cols]).ravel() if len(rows) else np.ones(0, int)
-        if np.any(marks == 0):
-            raise ValueError("entries outside the sparsity pattern")
-        return _frozen(marks - 1)
+        return sp.csr_matrix((self.source @ x, self.indices, self.indptr), shape=self.shape)
 
 
 # ----------------------------------------------------------------------
@@ -508,12 +497,12 @@ def pressure_preconditioner(mesh, A, shift=None):
     the mesh size.
     """
     def build(mesh):
-        internal = mesh.interior_edges
-        K, L = mesh.edge_cells[internal, 0], mesh.edge_cells[internal, 1]
-        couples = pressure_pattern(mesh).find(K, L)
-        vertical = internal < mesh.n_vertical
-        return (_neumann_dct(mesh.nx), _neumann_dct(mesh.ny),
-                _frozen(couples[vertical]), _frozen(couples[~vertical]))
+        pattern, nx = pressure_pattern(mesh), mesh.nx
+        # row K's x-coupling is in column K + 1, its y-coupling in K + nx (so K + 1 if nx = 1)
+        offset = pattern.indices - np.repeat(np.arange(mesh.ncells), np.diff(pattern.indptr))
+        return (_neumann_dct(nx), _neumann_dct(mesh.ny),
+                _frozen(np.flatnonzero((offset == 1) & (nx > 1))),
+                _frozen(np.flatnonzero(offset == nx)))
     (Cx, lx), (Cy, ly), x_pos, y_pos = mesh.cached("pressure_dct", build)
     cx = -A.data[x_pos].mean() if x_pos.size else 0.0
     cy = -A.data[y_pos].mean() if y_pos.size else 0.0
