@@ -121,8 +121,8 @@ def edge_mean(mesh, func, n=3, edges=None):
 def _edge_cells(mesh):
     """Both cells of every edge; a boundary edge repeats its inner cell."""
     def build(mesh):
-        K, L = mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
-        return K, _frozen(np.where(mesh.edge_is_boundary, K, L).astype(np.int32))
+        K = np.ascontiguousarray(mesh.edge_cells[:, 0])
+        return _frozen(K), _frozen(np.where(mesh.edge_is_boundary, K, mesh.edge_cells[:, 1]))
     return mesh.cached("edge_cells", build)
 
 
@@ -146,7 +146,7 @@ def _incidence(mesh):
         D = sp.csr_matrix((coeff.ravel(), ce.ravel(), np.arange(0, ce.size + 1, 4)),
                           shape=(mesh.ncells, mesh.nedges))
         edges = np.arange(mesh.nedges)
-        return D, _frozen((2 * edges + (edges >= mesh.n_vertical)).astype(np.int32))
+        return D, _frozen(2 * edges + (edges >= mesh.n_vertical))
     return mesh.cached("incidence", build)
 
 
@@ -227,21 +227,12 @@ def _viscous_local(mesh, mu):
     grads = basis_gradients(ref)                   # (q, 4, 2)
     # reference moments I[a, b, i, j] = int dphi_a/dx_i dphi_b/dx_j
     I = np.einsum("q,qai,qbj->abij", w, grads, grads)
-    hx, hy = mesh.hx, mesh.hy
-    scale = np.array([[hy / hx, 1.0], [1.0, hx / hy]])
-    loc = np.zeros((8, 8))
-    coupled = np.zeros((8, 8), dtype=bool)
-    for a in range(4):
-        for b in range(4):
-            grad_dot = scale[0, 0] * I[a, b, 0, 0] + scale[1, 1] * I[a, b, 1, 1]
-            for i in range(2):
-                for j in range(2):
-                    val = (mu / 3.0) * scale[i, j] * I[a, b, i, j]
-                    if i == j:
-                        val += mu * grad_dot
-                    loc[2 * a + i, 2 * b + j] = val
-                    coupled[2 * a + i, 2 * b + j] = i == j or I[a, b, i, j] != 0.0
-    return loc, coupled
+    scale = np.array([[mesh.hy / mesh.hx, 1.0], [1.0, mesh.hx / mesh.hy]])
+    grad_dot = scale[0, 0] * I[..., 0, 0] + scale[1, 1] * I[..., 1, 1]
+    loc = (mu / 3.0) * scale * I
+    loc[..., [0, 1], [0, 1]] += (mu * grad_dot)[..., None]        # i = j
+    coupled = np.eye(2, dtype=bool) | (I != 0.0)
+    return tuple(x.transpose(0, 2, 1, 3).reshape(8, 8) for x in (loc, coupled))  # (a, i, b, j)
 
 
 def viscous_stiffness(mesh, mu):
@@ -262,9 +253,7 @@ def viscous_stiffness(mesh, mu):
     cols = gdof[:, c].ravel()
     vals = np.tile(loc[r, c], mesh.ncells)
     n = 2 * mesh.nedges
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    A.sum_duplicates()
-    return A
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def _dirichlet_sines(n):

@@ -145,7 +145,8 @@ def _density_plan(mesh):
     patterns of the vertical-from-horizontal and horizontal-from-vertical
     couplings, one entry per sub-edge each."""
     nv, nh = mesh.n_vertical, mesh.nedges - mesh.n_vertical
-    v, h = mesh.sub_pair[:, 0].astype(np.int32), (mesh.sub_pair[:, 1] - nv).astype(np.int32)
+    v = ops._frozen(np.ascontiguousarray(mesh.sub_pair[:, 0]))
+    h = ops._frozen(mesh.sub_pair[:, 1] - nv)
     return SimpleNamespace(v=v, h=h, B=ops.Pattern.assemble(v, h, (nv, nh)),
                            C=ops.Pattern.assemble(h, v, (nh, nv)))
 

@@ -163,10 +163,33 @@ def upwind_mass_balance_per_cell(mesh, rho, rho_star, u, dt):
     return rho_up, res
 
 
+def viscous_local(mesh, mu):
+    """The viscous cell matrix and its couplings, entry by entry: dof 2a + i
+    is component i of edge slot a, and I[a, b, i, j] = int dphi_a/dx_i
+    dphi_b/dx_j on the reference square."""
+    ref, w = ops.gauss_points_2d(2)
+    grads = ops.basis_gradients(ref)
+    I = np.einsum("q,qai,qbj->abij", w, grads, grads)
+    scale = np.array([[mesh.hy / mesh.hx, 1.0], [1.0, mesh.hx / mesh.hy]])
+    loc = np.zeros((8, 8))
+    coupled = np.zeros((8, 8), dtype=bool)
+    for a in range(4):
+        for b in range(4):
+            grad_dot = scale[0, 0] * I[a, b, 0, 0] + scale[1, 1] * I[a, b, 1, 1]
+            for i in range(2):
+                for j in range(2):
+                    val = (mu / 3.0) * scale[i, j] * I[a, b, i, j]
+                    if i == j:
+                        val += mu * grad_dot
+                    loc[2 * a + i, 2 * b + j] = val
+                    coupled[2 * a + i, 2 * b + j] = i == j or I[a, b, i, j] != 0.0
+    return loc, coupled
+
+
 def viscous_stiffness_dense(mesh, mu):
     """Dense viscous stiffness and its stored pattern, each cell's coupled
     8x8 block added in turn."""
-    loc, coupled = ops._viscous_local(mesh, mu)
+    loc, coupled = viscous_local(mesh, mu)
     n = 2 * mesh.nedges
     A = np.zeros((n, n))
     stored = np.zeros((n, n), dtype=bool)

@@ -332,14 +332,17 @@ def test_simulate_rejects_non_affine_eos(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--mesh", "8x8", "--dt", "0.025", "--t-end", "0.05"],
     ["convergence", "--mesh", "4x4", "--dt-list", "0.1;0.05"],
+    ["stability", "--mesh", "8x8", "--dt", "1.0", "--eos", "power", "--steps", "2"],
 ])
 def test_lin_maxit_caps_the_smooth_flow_solves(tmp_path, capsys, argv):
-    # simulate and convergence pass lin_maxit on, as stability does
+    # every command passes lin_maxit on to its Krylov solves, and a capped
+    # solve ends the run with exit 1 before any output is written
     rc = main([*argv, "--lin-maxit", "1", "--outdir", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure:")
-    assert "did not converge in 1 iterations" in err
+    assert err.startswith("numerical failure: density prediction solve failed: "
+                          "BiCGStab did not converge in 1 iterations")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [

@@ -297,8 +297,11 @@ def test_subedge_geometry_matches_cell_by_cell_construction(nx, ny, domain):
 def test_viscous_stiffness_equals_cell_by_cell_assembly(nx, ny, domain, mu):
     """Every stored entry is the exact sum of the cells' local entries (at
     most two cells share one, so the order of the sum does not matter), and
-    exactly the couplings are stored."""
+    exactly the couplings are stored.  The tensor-formula cell matrix is
+    bitwise the entry-by-entry one."""
     mesh = build_rect_mesh(nx, ny, domain)
+    for got, expect in zip(ops._viscous_local(mesh, mu), oracles.viscous_local(mesh, mu)):
+        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
     K = ops.viscous_stiffness(mesh, mu)
     dense, stored = oracles.viscous_stiffness_dense(mesh, mu)
     np.testing.assert_array_equal(K.toarray(), dense)
@@ -480,8 +483,9 @@ def test_steppers_on_one_mesh_share_one_stiffness_and_plan_per_mu():
     """Steppers of three dts at each of two viscosities, stepped alternately on
     one mesh, reproduce their runs on separate meshes bitwise.  The mesh's
     cache then holds one read-only stiffness and one momentum plan per
-    viscosity, however many Steppers use them; mu = 0.2 puts the momentum
-    solves on the sine-transform preconditioner."""
+    viscosity, however many Steppers use them, and read-only gather indices
+    in the mesh's own C-contiguous intp; mu = 0.2 puts the momentum solves
+    on the sine-transform preconditioner."""
     domain = ver.SmoothFlowCase.domain
     configs = [(mu, dt) for mu in (1e-2, 0.2) for dt in (0.05, 0.1, 0.025)]
 
@@ -511,6 +515,9 @@ def test_steppers_on_one_mesh_share_one_stiffness_and_plan_per_mu():
         assert not any(a.flags.writeable for a in (stepper.stiffness.data,
                                                    stepper.stiffness.indices,
                                                    stepper.stiffness.indptr))
+    plan = mesh.cached("density_plan", None)
+    for a in (*mesh.cached("edge_cells", None), mesh.cached("incidence", None)[1], plan.v, plan.h):
+        assert a.dtype == np.intp and a.flags.c_contiguous and not a.flags.writeable
 
 
 def test_step_report_counts_projection_cg_iterations(monkeypatch, rng):

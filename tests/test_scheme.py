@@ -156,6 +156,22 @@ def test_predict_density_dense_oracle(rng):
         np.testing.assert_allclose(got, np.linalg.solve(A, b), rtol=1e-10)
 
 
+@pytest.mark.xfail(strict=True, raises=SchemeError,
+                   reason="boundary inflow is taken at the diamond's own density, which breaks "
+                          "the M-matrix: predicted density lost positivity (min -1.096e+01) "
+                          "(ROADMAP item 8)")
+def test_predict_density_stays_positive_under_boundary_inflow():
+    mesh = build_rect_mesh(5, 4)
+    eos = AffineLaw()
+    rng = np.random.default_rng(0)
+    rho = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, mesh.ncells)
+    u = 0.4 * rng.uniform(-1.0, 1.0, (mesh.nedges, 2))    # boundary rows too
+    state = SchemeState(0.0, u, eos.pressure(rho), rho, ops.edge_density(mesh, rho))
+    rho_tilde, _ = predict_density(mesh, state, tight_config(eos, dt=0.3),
+                                   *oracles.density_inputs(mesh, state))
+    assert rho_tilde.min() > 0.0
+
+
 def test_mass_fluxes_satisfy_diamond_balance(rng):
     # the per-diamond flux total equals the mass increment, which is the
     # compatibility the momentum convection relies on
