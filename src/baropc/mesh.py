@@ -49,105 +49,81 @@ class RectMesh:
 
         self._build_cells()
         self._build_edges()
-        self._build_diamonds()
         self._build_subedges()
         self._freeze()
         self._cache = {}
 
     # ------------------------------------------------------------------
     def _build_cells(self):
-        nx, ny = self.nx, self.ny
         x0, _, y0, _ = self.domain
-        i = np.arange(nx)
-        j = np.arange(ny)
-        cx = x0 + (i + 0.5) * self.hx
-        cy = y0 + (j + 0.5) * self.hy
-        xx, yy = np.meshgrid(cx, cy)          # row major: index [j, i]
-        self.cell_centroids = np.column_stack([xx.ravel(), yy.ravel()])
+        self.cell_centroids = np.empty((self.ncells, 2))
+        grid = self.cell_centroids.reshape(self.ny, self.nx, 2)     # row major: index [j, i]
+        grid[..., 0] = x0 + (np.arange(self.nx) + 0.5) * self.hx
+        grid[..., 1] = y0 + (np.arange(self.ny)[:, None] + 0.5) * self.hy
         self.cell_volumes = np.full(self.ncells, self.hx * self.hy)
 
     def _build_edges(self):
-        nx, ny = self.nx, self.ny
+        # each edge family is a grid, written by broadcasting its grid lines
+        nx, ny, hx, hy = self.nx, self.ny, self.hx, self.hy
         x0, _, y0, _ = self.domain
-        hx, hy = self.hx, self.hy
         nvert = (nx + 1) * ny                 # x-normal edges
-        nhorz = nx * (ny + 1)                 # y-normal edges
-        ne = nvert + nhorz
-        self.nedges = ne
-        self.n_vertical = nvert
-
-        length = np.empty(ne)
-        mid = np.empty((ne, 2))
-        p0 = np.empty((ne, 2))
-        p1 = np.empty((ne, 2))
+        ne = nvert + nx * (ny + 1)            # then the y-normal edges
+        self.nedges, self.n_vertical = ne, nvert
+        length, mid, p0, p1 = np.empty(ne), *(np.empty((ne, 2)) for _ in range(3))
         normal = np.zeros((ne, 2))
-        cells = np.full((ne, 2), -1, dtype=np.int64)
+        cells = np.empty((ne, 2), dtype=np.int64)
+        i, j = np.arange(nx + 1), np.arange(ny + 1)[:, None]
+        V = lambda a: a[:nvert].reshape(ny, nx + 1, *a.shape[1:])    # noqa: E731
+        H = lambda a: a[nvert:].reshape(ny + 1, nx, *a.shape[1:])    # noqa: E731
 
         # vertical edges: id = j*(nx+1) + i, at x = x0 + i*hx
-        jj, ii = np.divmod(np.arange(nvert), nx + 1)
-        xe = x0 + ii * hx
-        ye = y0 + (jj + 0.5) * hy
+        xe, ye = x0 + i * hx, y0 + (j[:ny] + 0.5) * hy
         length[:nvert] = hy
-        mid[:nvert] = np.column_stack([xe, ye])
-        p0[:nvert] = np.column_stack([xe, ye - 0.5 * hy])
-        p1[:nvert] = np.column_stack([xe, ye + 0.5 * hy])
-        left = jj * nx + (ii - 1)
-        right = jj * nx + ii
-        interior = (ii > 0) & (ii < nx)
-        cells[:nvert, 0] = np.where(ii > 0, left, right)
-        cells[:nvert, 1] = np.where(interior, right, -1)
+        for a, y in ((mid, ye), (p0, ye - 0.5 * hy), (p1, ye + 0.5 * hy)):
+            V(a)[..., 0], V(a)[..., 1] = xe, y
+        V(cells)[..., 0] = j[:ny] * nx + np.maximum(i - 1, 0)     # left, right at i = 0
+        V(cells)[..., 1] = np.where((i > 0) & (i < nx), j[:ny] * nx + i, -1)
         # K -> L points +x for interior; outward at the boundary
-        normal[:nvert, 0] = np.where(ii == 0, -1.0, 1.0)
+        V(normal)[..., 0] = np.where(i == 0, -1.0, 1.0)
 
         # horizontal edges: id = nvert + j*nx + i, at y = y0 + j*hy
-        jj, ii = np.divmod(np.arange(nhorz), nx)
-        xe = x0 + (ii + 0.5) * hx
-        ye = y0 + jj * hy
-        sl = slice(nvert, ne)
-        length[sl] = hx
-        mid[sl] = np.column_stack([xe, ye])
-        p0[sl] = np.column_stack([xe - 0.5 * hx, ye])
-        p1[sl] = np.column_stack([xe + 0.5 * hx, ye])
-        below = (jj - 1) * nx + ii
-        above = jj * nx + ii
-        interior = (jj > 0) & (jj < ny)
-        cells[sl, 0] = np.where(jj > 0, below, above)
-        cells[sl, 1] = np.where(interior, above, -1)
-        normal[sl, 1] = np.where(jj == 0, -1.0, 1.0)
+        xe, ye = x0 + (i[:nx] + 0.5) * hx, y0 + j * hy
+        length[nvert:] = hx
+        for a, x in ((mid, xe), (p0, xe - 0.5 * hx), (p1, xe + 0.5 * hx)):
+            H(a)[..., 0], H(a)[..., 1] = x, ye
+        H(cells)[..., 0] = np.maximum(j - 1, 0) * nx + i[:nx]     # below, above at j = 0
+        H(cells)[..., 1] = np.where((j > 0) & (j < ny), j * nx + i[:nx], -1)
+        H(normal)[..., 1] = np.where(j == 0, -1.0, 1.0)
 
-        self.edge_lengths = length
-        self.edge_midpoints = mid
-        self.edge_p0 = p0
-        self.edge_p1 = p1
-        self.edge_normals = normal
-        self.edge_cells = cells
+        self.edge_lengths, self.edge_midpoints, self.edge_p0, self.edge_p1 = length, mid, p0, p1
+        self.edge_normals, self.edge_cells = normal, cells
         self.edge_is_boundary = cells[:, 1] < 0
         self.interior_edges = np.nonzero(~self.edge_is_boundary)[0]
         self.boundary_edges = np.nonzero(self.edge_is_boundary)[0]
         self.n_interior = self.interior_edges.size
 
         # per-cell edge list [left, right, bottom, top] and the sign such
-        # that sign * edge_normal is the outward normal n_{K,sigma}
-        nxp = nx + 1
-        j, i = np.divmod(np.arange(self.ncells), nx)
-        ce = np.empty((self.ncells, 4), dtype=np.int64)
-        ce[:, LEFT] = j * nxp + i
-        ce[:, RIGHT] = j * nxp + i + 1
-        ce[:, BOTTOM] = nvert + j * nx + i
-        ce[:, TOP] = nvert + (j + 1) * nx + i
-        self.cell_edges = ce
-        owner = cells[ce, 0] == np.arange(self.ncells)[:, None]
-        self.cell_edge_signs = np.where(owner, 1.0, -1.0)
+        # that sign * edge_normal is the outward normal n_{K,sigma}: the
+        # cell is the second of its left and bottom edges, but on the boundary
+        ce = np.empty((ny, nx, 4), dtype=np.int64)
+        ce[..., LEFT] = j[:ny] * (nx + 1) + i[:nx]
+        ce[..., RIGHT] = ce[..., LEFT] + 1
+        ce[..., BOTTOM] = nvert + j[:ny] * nx + i[:nx]
+        ce[..., TOP] = ce[..., BOTTOM] + nx
+        signs = np.ones((ny, nx, 4))
+        signs[..., LEFT] = np.where(i[:nx] == 0, 1.0, -1.0)
+        signs[..., BOTTOM] = np.where(j[:ny] == 0, 1.0, -1.0)
+        self.cell_edges = ce.reshape(-1, 4)
+        self.cell_edge_signs = signs.reshape(-1, 4)
 
-    def _build_diamonds(self):
-        # cones with basis sigma and apex at the centroid: |K|/4 exactly
-        # for axis-aligned rectangles
+        # diamonds: cones with basis sigma and apex at the centroid, |K|/4
+        # exactly for axis-aligned rectangles
         quarter = self.cell_volumes[0] / 4.0
-        half = np.zeros((self.nedges, 2))
+        half = np.empty((self.nedges, 2))
         half[:, 0] = quarter
-        half[~self.edge_is_boundary, 1] = quarter
+        half[:, 1] = np.where(self.edge_is_boundary, 0.0, quarter)
         self.half_diamond_volumes = half
-        self.diamond_volumes = half.sum(axis=1)
+        self.diamond_volumes = half[:, 0] + half[:, 1]
 
     def _build_subedges(self):
         # the grid is uniform, so each of a cell's four sub-edges has the
@@ -165,7 +141,11 @@ class RectMesh:
         self.sub_cell = np.repeat(np.arange(self.ncells), 4)
         self.sub_pair = self.cell_edges[:, np.array(_VERTEX_EDGES)].reshape(-1, 2)
         self.sub_lengths = np.full(self.sub_cell.size, 0.5 * diag)
-        self.sub_midpoints = (self.cell_centroids[:, None] + 0.5 * off).reshape(-1, 2)
+        # a midpoint's x depends on the cell's column only, its y on its row
+        mids = np.empty((self.ny, self.nx, 4, 2))
+        mids[..., 0] = self.cell_centroids[:self.nx, 0, None] + 0.5 * off[:, 0]
+        mids[..., 1] = self.cell_centroids[::self.nx, 1, None, None] + 0.5 * off[:, 1]
+        self.sub_midpoints = mids.reshape(-1, 2)
         self.sub_normals = np.tile(normal, (self.ncells, 1))
         self.nsubedges = self.sub_cell.size
 

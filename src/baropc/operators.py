@@ -176,12 +176,11 @@ def _frozen(a):
 class Pattern:
     """Fixed CSR sparsity whose values are one fixed linear map of per-call inputs.
 
-    `assemble` lists COO entries, each a multiple of one input, and `fill(x)`
-    is one cached CSC product `source @ x`, whose columns are the inputs: it
-    sums each stored entry's terms in the order of their inputs.  Listed by
-    input, the entries are thus summed in entry order, as scipy's COO -> CSR
-    conversion does, so a refilled matrix equals a fresh COO assembly entry
-    for entry.  All matrices of a pattern share its read-only index arrays.
+    `fill(x)` is one cached sparse product `source @ x`, whose columns are
+    the inputs: it sums each stored entry's terms in the order of their
+    inputs, as scipy's COO -> CSR conversion sums entries listed by input, so
+    a refilled matrix equals a fresh COO assembly entry for entry.  All
+    matrices of a pattern share its read-only index arrays.
     """
 
     def __init__(self, indptr, indices, shape, source):
@@ -189,32 +188,60 @@ class Pattern:
         self.indices = _frozen(np.asarray(indices, dtype=np.int32))
         self.shape, self.source = shape, source
 
-    @classmethod
-    def assemble(cls, rows, cols, shape, src=None, weight=None, size=None, within=None):
-        """The pattern of a COO assembly of the given entries.
-
-        Entry i holds weight[i] * x[src[i]] of inputs x of length `size` (by
-        default x[i] and len(rows)), no two of them one input at one place.
-        With `within`, a CSR pattern with sorted columns holding every entry,
-        the stored pattern is that one.
-        """
-        if within is None:                    # scipy's COO -> CSR structure of the entries
-            within = sp.csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=shape)
-        nnz = within.nnz
-        # 1, 2, ..., nnz on the pattern: entries read back as slot + 1, 0 where unstored
-        marker = sp.csr_matrix((np.arange(1, nnz + 1, dtype=np.int32), within.indices,
-                                within.indptr), shape=shape)
-        slot = (np.asarray(marker[rows, cols]).ravel() if len(rows) else np.ones(0, int)) - 1
-        if np.any(slot < 0):
-            raise ValueError("entries outside the sparsity pattern")
-        src = np.arange(len(slot)) if src is None else src
-        weight = np.ones(len(slot)) if weight is None else np.asarray(weight, dtype=float)
-        source = sp.csc_matrix((weight, (slot, src)),
-                               shape=(nnz, len(slot) if size is None else size))
-        return cls(within.indptr, within.indices, shape, source)
-
     def fill(self, x):
         return sp.csr_matrix((self.source @ x, self.indices, self.indptr), shape=self.shape)
+
+
+# Every cell is a translate of one cell: along a family of grid rows (of edges
+# or cells), row j + 1 of a per-mesh array is row j moved by a fixed step,
+# but on the first and last row.  So they are translated, not sorted.
+
+def grid_rows(n):
+    """(row, count) pairs standing for n grid rows: the first row, the second
+    for the inner ones, and the last, each with how many rows it stands for."""
+    return [(0, 1), (1, n - 2), (n - 1, 1)] if n > 2 else [(j, 1) for j in range(n)]
+
+
+def translates(pieces):
+    """The concatenation, over pieces (base, step, count), of base + k * step
+    for k = 0 .. count - 1 (base itself where step is None), each written
+    once, in the dtype of the first base."""
+    out = np.empty(sum(base.size * count for base, _, count in pieces), pieces[0][0].dtype)
+    at = 0
+    for base, step, count in pieces:
+        block = out[at:at + base.size * count].reshape(count, base.size)
+        at += block.size
+        if step is None:
+            block[...] = base
+        else:
+            np.multiply(np.arange(count, dtype=out.dtype)[:, None], step, out=block)
+            block += base
+    return out
+
+
+def translated_csr(rep, families, col_step, data_step=None):
+    """The CSR of rep's shape whose rows form families of grid rows, (first
+    row, rows per grid row, `grid_rows` pairs) each, from a CSR `rep`
+    holding the rows of the grid rows listed: one grid row up adds
+    col_step(columns) to a row's columns and data_step to its data."""
+    pieces, steps, nnz = [], col_step(rep.indices), 0
+    for start, width, classes in families:
+        for j, count in classes:
+            ptr = rep.indptr[start + j * width:start + (j + 1) * width + 1]
+            at, size = slice(ptr[0], ptr[-1]), ptr[-1] - ptr[0]
+            pieces.append(((rep.indices[at], steps[at], count), (rep.data[at], data_step, count),
+                           (ptr[:-1] - ptr[0] + nnz, size, count)))
+            nnz += size * count
+    indices, data, indptr = (translates([p[k] for p in pieces]) for k in range(3))
+    return sp.csr_matrix((data, indices, np.append(indptr, nnz)), shape=rep.shape)
+
+
+def dof_rows(mesh):
+    """Flat dofs 2 * edge + component as `translated_csr` families, and what
+    a grid row up adds to a dof; only horizontal edges differ by grid row."""
+    nx, nv = mesh.nx, 2 * mesh.n_vertical
+    return ([(0, 2 * nx + 2, [(0, mesh.ny)]), (nv, 2 * nx, grid_rows(mesh.ny + 1))],
+            lambda dofs: np.where(dofs < nv, np.int32(2 * nx + 2), np.int32(2 * nx)))
 
 
 # ----------------------------------------------------------------------
@@ -242,18 +269,20 @@ def viscous_stiffness(mesh, mu):
     gradients); returns CSR of size (2*nedges, 2*nedges), flat dof 2*edge
     + component.  Symmetric positive semi-definite.  Couplings that vanish
     for every mu are not stored: the pattern depends on the mesh only.
+    The rows of the edges of cell rows 0, 1 and ny - 1 are one COO assembly,
+    translated to the others (`dof_rows`); no entry sums more than 2 cells.
     """
     if mu < 0.0:
         raise FieldError("viscosity must be nonnegative")
     loc, coupled = _viscous_local(mesh, mu)
-    gdof = np.repeat(2 * mesh.cell_edges.astype(np.int32), 2, axis=1)
-    gdof[:, 1::2] += 1                             # (ncells, 8)
+    nx, n = mesh.nx, 2 * mesh.nedges
+    cells = np.concatenate([j * nx + np.arange(nx) for j, _ in grid_rows(mesh.ny)])
+    gdof = np.repeat(2 * mesh.cell_edges[cells].astype(np.int32), 2, axis=1)
+    gdof[:, 1::2] += 1                             # (cells, 8)
     r, c = np.divmod(np.flatnonzero(coupled), 8)   # local slots, row major
-    rows = gdof[:, r].ravel()
-    cols = gdof[:, c].ravel()
-    vals = np.tile(loc[r, c], mesh.ncells)
-    n = 2 * mesh.nedges
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    rep = sp.csr_matrix((np.tile(loc[r, c], cells.size), (gdof[:, r].ravel(),
+                                                          gdof[:, c].ravel())), shape=(n, n))
+    return translated_csr(rep, *dof_rows(mesh))
 
 
 def _dirichlet_sines(n):
@@ -355,19 +384,44 @@ def subedge_velocity_coeffs(mesh, u):
     return mesh.cached("subedge_velocity", build) @ np.asarray(u, dtype=float).ravel()
 
 
-def convection_entries(mesh):
-    """Rows, columns, inputs and signs of the convection matrix's entries, as
-    arrays of shape (2, nsub, 2, 2): input X or Y (`convection_stencil`),
-    sub-edge, term, velocity component.  X_s adds at (s1, s1) and its
-    negative at (s2, s1), Y_s at (s1, s2) and its negative at (s2, s2); rows
-    and columns are flat dofs 2 * edge + component.  Inputs and signs are
-    read-only."""
-    s = np.arange(mesh.nsubedges, dtype=np.int32)
-    dof = 2 * mesh.sub_pair.astype(np.int32)[:, :, None] + np.arange(2, dtype=np.int32)
-    shape = (2,) + dof.shape
-    return (np.stack([dof, dof]), np.stack([dof[:, [0, 0]], dof[:, [1, 1]]]),
-            np.broadcast_to(np.stack([s, s + mesh.nsubedges])[:, :, None, None], shape),
-            np.broadcast_to(np.array([1, -1], dtype=np.int8)[:, None], shape))
+def convection_pattern(mesh, K=None, interior=None):
+    """The convection matrix's pattern, refilled from the inputs [X, Y] of
+    `convection_stencil`; with K, a CSR with sorted indices holding the
+    convection entries and the diagonal, that pattern, filled in the rows
+    where `interior` only, from one more input per dof at its diagonal.
+
+    X_s adds at (s1, s1) and its negative at (s2, s1), Y_s at (s1, s2) and
+    its negative at (s2, s2), per component.  The slot of an entry of cell
+    rows 0, 1 and ny - 1 (or of a `dof_rows` row) is its row's start plus
+    its rank in the row; a grid row up, it moves as the row start does."""
+    nx, nsub, n = mesh.nx, mesh.nsubedges, 2 * mesh.nedges
+    families, step = dof_rows(mesh)
+    s = np.concatenate([4 * nx * j + np.arange(4 * nx) for j, _ in grid_rows(mesh.ny)])
+    dof = 2 * mesh.sub_pair[s, :, None] + np.arange(2)       # (sub-edge, s1 | s2, component)
+    # (sub-edge, X | Y, row s1 | s2, component): X_s in column s1, Y_s in column s2
+    rows, cols, inputs, sign = (a.ravel() for a in np.broadcast_arrays(
+        dof[:, None], dof[:, :, None], (s[:, None] + [0, nsub])[:, :, None, None], [[1.0], [-1.0]]))
+    by_row = [(0, 4 * nx, grid_rows(mesh.ny)), (nsub, 4 * nx, grid_rows(mesh.ny))]  # inputs
+    if K is None:
+        K = translated_csr(sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)),
+                           families, step)
+    else:
+        keep = interior[rows]
+        d = np.concatenate([a + j * w + np.arange(w) for a, w, rs in families for j, _ in rs])
+        rows, cols, inputs, sign = (np.append(x[keep], y) for x, y in zip(
+            (rows, cols, inputs, sign), (d, d, 2 * nsub + d, np.ones(d.size))))
+        by_row += [(2 * nsub + a, w, rs) for a, w, rs in families]
+    start = K.indptr[rows]
+    seg = K.indices[np.minimum(start[:, None] + np.arange((K.indptr[rows + 1] - start).max()),
+                               K.nnz - 1)]
+    slot = start + np.argmax(seg == cols[:, None], axis=1)
+    size = 2 * nsub + n * (interior is not None)
+
+    def slot_step(slots):
+        r = np.searchsorted(K.indptr, slots, side="right") - 1
+        return K.indptr[np.minimum(r + step(r), n)] - K.indptr[r]
+    rep = sp.csr_matrix((sign, (inputs, slot)), shape=(size, K.nnz))  # the map's transpose
+    return Pattern(K.indptr, K.indices, (n, n), translated_csr(rep, by_row, slot_step).T)
 
 
 def convection_stencil(fluxes, mode):
@@ -388,12 +442,8 @@ def convection_matrix(mesh, fluxes, mode="centered"):
     components get the same scalar stencil; the returned CSR acts on flat
     dofs 2*edge + component over all edges.
     """
-    def build(mesh):
-        rows, cols, src, sign = (a.ravel() for a in convection_entries(mesh))
-        n = 2 * mesh.nedges
-        return Pattern.assemble(rows, cols, (n, n), src, sign, 2 * mesh.nsubedges)
     stencil = convection_stencil(np.asarray(fluxes, dtype=float), mode)
-    return mesh.cached("convection_pattern", build).fill(np.concatenate(stencil))
+    return mesh.cached("convection_pattern", convection_pattern).fill(np.concatenate(stencil))
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import operators as ops
 from .eos import EosDomainError
@@ -143,12 +144,19 @@ class _ReducedDensityOperator:
 def _density_plan(mesh):
     """Vertical and horizontal diamond of every sub-edge, and the CSR
     patterns of the vertical-from-horizontal and horizontal-from-vertical
-    couplings, one entry per sub-edge each."""
-    nv, nh = mesh.n_vertical, mesh.nedges - mesh.n_vertical
+    couplings, one entry per sub-edge each: the first translated from cell
+    rows 0, 1 and ny - 1 with each entry's sub-edge as its value (4 nx more a
+    grid row up), the second its transpose, which scipy writes unsorted."""
+    nx, ny, nv = mesh.nx, mesh.ny, mesh.n_vertical
     v = ops._frozen(np.ascontiguousarray(mesh.sub_pair[:, 0]))
     h = ops._frozen(mesh.sub_pair[:, 1] - nv)
-    return SimpleNamespace(v=v, h=h, B=ops.Pattern.assemble(v, h, (nv, nh)),
-                           C=ops.Pattern.assemble(h, v, (nh, nv)))
+    s = np.concatenate([4 * nx * j + np.arange(4 * nx) for j, _ in ops.grid_rows(ny)])
+    rep = sp.csr_matrix((s, (v[s], h[s])), shape=(nv, mesh.nedges - nv))
+    B = ops.translated_csr(rep, [(0, nx + 1, [(0, ny)])], lambda c: np.full_like(c, nx),
+                           np.int32(4 * nx))
+    B, C = (ops.Pattern(M.indptr, M.indices, M.shape, sp.csr_matrix(
+        (np.ones(M.nnz), M.data, np.arange(M.nnz + 1)), shape=(M.nnz, M.nnz))) for M in (B, B.tocsc().T))
+    return SimpleNamespace(v=v, h=h, B=B, C=C)
 
 
 def predict_density(mesh, state, config, rho_edge_n, coeffs):
@@ -229,22 +237,17 @@ def _momentum_plan(mesh, stiffness):
     """The momentum matrix over all velocity dofs on the stiffness pattern.
 
     An interior row holds the convection and mass entries from the inputs
-    [X, Y, mass per dof] (`ops.convection_stencil`, the mass diagonal), summed
-    in that order, plus its stiffness values.  A boundary row is an identity
-    row: its mass input is 1 and its stiffness values are 0.  Also which dofs
-    are interior, and the mean interior stiffness diagonal."""
-    interior = np.repeat(~mesh.edge_is_boundary, 2)
-    convection = [a.ravel() for a in ops.convection_entries(mesh)]
-    keep, dof = interior[convection[0]], np.arange(interior.size, dtype=np.int32)
-    rows, cols, src, sign = (np.concatenate([a[keep], b]) for a, b in zip(
-        convection, (dof, dof, 2 * mesh.nsubedges + dof, np.ones(dof.size, np.int8))))
-    pattern = ops.Pattern.assemble(rows, cols, stiffness.shape, src, sign,
-                                   2 * mesh.nsubedges + dof.size, within=stiffness)
-    row_interior = np.repeat(interior, np.diff(stiffness.indptr))
-    viscous = ops._frozen(np.where(row_interior, stiffness.data, 0.0))
-    diagonal = np.mean(stiffness.diagonal()[interior]) if interior.any() else 0.0
-    return SimpleNamespace(pattern=pattern, viscous=viscous, interior=ops._frozen(interior),
-                           viscous_diagonal=diagonal)
+    [X, Y, mass per dof] (`ops.convection_pattern`), summed in that order,
+    plus its stiffness values.  A boundary row is an identity row: its mass
+    input is 1 and its stiffness values are 0.  Also which dofs are
+    interior, and the mean interior stiffness diagonal."""
+    K, interior = stiffness, np.repeat(~mesh.edge_is_boundary, 2)
+    pattern = ops.convection_pattern(mesh, K, interior)
+    viscous = np.where(np.repeat(interior, np.diff(K.indptr)), K.data, 0.0)
+    diagonal = K.data[pattern.source.indices[-interior.size:]]    # the mass inputs' slots
+    diagonal = np.mean(diagonal[interior]) if interior.any() else 0.0
+    return SimpleNamespace(pattern=pattern, viscous=ops._frozen(viscous),
+                           interior=ops._frozen(interior), viscous_diagonal=diagonal)
 
 
 def _stiffness(mesh, mu):

@@ -165,7 +165,7 @@ def error_norms(mesh, state, case):
     """
     pts, w, phi = _cell_quadrature(mesh, _QUAD)
     coeffs = state.u[mesh.cell_edges]                # (ncells, 4, 2)
-    u_h = np.einsum("qa,cad->cqd", phi, coeffs)
+    u_h = phi @ coeffs                               # (ncells, q, 2)
     diff = u_h - case.velocity(_at_fixed_points(case, mesh, pts), state.t)
     err_v = np.sqrt(np.einsum("q,cqd->", w, diff ** 2))
     p_ex = case.pressure(mesh.cell_centroids, state.t)

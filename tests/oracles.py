@@ -2,8 +2,10 @@
 
 Pointwise finite element evaluation, the lumped velocity mass, the
 pressure operator as an explicit matrix product, the sub-edge geometry
-and the viscous stiffness built cell by cell, and fresh COO assemblies of
-every matrix the stepper refills on a fixed pattern.  They are written
+and the viscous stiffness built cell by cell, fresh COO assemblies of
+every matrix the stepper refills on a fixed pattern, and the per-mesh
+builders as COO sorts, to compare the grid-template builders with bit for
+bit.  They are written
 independently of the library's per-slot constants and cached patterns so
 the tests can compare the two routes entry by entry.  The inputs that
 `Stepper.step` computes once and hands to the stages come next, for tests
@@ -269,6 +271,85 @@ def momentum_coo(mesh, rho_tilde, dt, fluxes, mode, stiffness):
     inner[2 * mesh.interior_edges + 1] = True
     idof, bdof = np.nonzero(inner)[0], np.nonzero(~inner)[0]
     return A[idof][:, idof], A[idof][:, bdof]
+
+
+# ----------------------------------------------------------------------
+# the per-mesh builders as scipy COO -> CSR conversions and element sampling
+
+def assemble_pattern(rows, cols, shape, src=None, weight=None, size=None, within=None):
+    """The `ops.Pattern` of a COO assembly of the given entries.
+
+    Entry i holds weight[i] * x[src[i]] of inputs x of length `size` (by
+    default x[i] and len(rows)), no two of them one input at one place.
+    With `within`, a CSR pattern with sorted columns holding every entry,
+    the stored pattern is that one.  The source is a CSC whose rows are
+    found by sampling a matrix holding 1, 2, ..., nnz on the pattern.
+    """
+    if within is None:                    # scipy's COO -> CSR structure of the entries
+        within = sp.csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=shape)
+    nnz = within.nnz
+    marker = sp.csr_matrix((np.arange(1, nnz + 1, dtype=np.int32), within.indices,
+                            within.indptr), shape=shape)
+    slot = (np.asarray(marker[rows, cols]).ravel() if len(rows) else np.ones(0, int)) - 1
+    if np.any(slot < 0):
+        raise ValueError("entries outside the sparsity pattern")
+    src = np.arange(len(slot)) if src is None else src
+    weight = np.ones(len(slot)) if weight is None else np.asarray(weight, dtype=float)
+    source = sp.csc_matrix((weight, (slot, src)), shape=(nnz, len(slot) if size is None else size))
+    return ops.Pattern(within.indptr, within.indices, shape, source)
+
+
+def convection_entries(mesh):
+    """Rows, columns, inputs and signs of the convection matrix's entries, as
+    arrays of shape (2, nsub, 2, 2): input X or Y, sub-edge, term, velocity
+    component.  X_s adds at (s1, s1) and its negative at (s2, s1), Y_s at
+    (s1, s2) and its negative at (s2, s2)."""
+    s = np.arange(mesh.nsubedges, dtype=np.int32)
+    dof = 2 * mesh.sub_pair.astype(np.int32)[:, :, None] + np.arange(2, dtype=np.int32)
+    shape = (2,) + dof.shape
+    return (np.stack([dof, dof]), np.stack([dof[:, [0, 0]], dof[:, [1, 1]]]),
+            np.broadcast_to(np.stack([s, s + mesh.nsubedges])[:, :, None, None], shape),
+            np.broadcast_to(np.array([1, -1], dtype=np.int8)[:, None], shape))
+
+
+def viscous_stiffness_coo(mesh, mu):
+    """The viscous stiffness as one COO assembly of every cell's coupled
+    entries of `ops._viscous_local`."""
+    loc, coupled = ops._viscous_local(mesh, mu)
+    gdof = np.repeat(2 * mesh.cell_edges.astype(np.int32), 2, axis=1)
+    gdof[:, 1::2] += 1
+    r, c = np.divmod(np.flatnonzero(coupled), 8)
+    n = 2 * mesh.nedges
+    return sp.csr_matrix((np.tile(loc[r, c], mesh.ncells),
+                          (gdof[:, r].ravel(), gdof[:, c].ravel())), shape=(n, n))
+
+
+def convection_pattern_coo(mesh):
+    """The convection matrix's pattern from the COO structure of its entries."""
+    rows, cols, src, sign = (a.ravel() for a in convection_entries(mesh))
+    n = 2 * mesh.nedges
+    return assemble_pattern(rows, cols, (n, n), src, sign, 2 * mesh.nsubedges)
+
+
+def momentum_plan_coo(mesh, stiffness):
+    """The momentum matrix's refill pattern on the stiffness pattern: the
+    interior rows' convection entries and every dof's mass diagonal, placed
+    by sampling."""
+    interior = np.repeat(~mesh.edge_is_boundary, 2)
+    convection = [a.ravel() for a in convection_entries(mesh)]
+    keep, dof = interior[convection[0]], np.arange(interior.size, dtype=np.int32)
+    rows, cols, src, sign = (np.concatenate([a[keep], b]) for a, b in zip(
+        convection, (dof, dof, 2 * mesh.nsubedges + dof, np.ones(dof.size, np.int8))))
+    return assemble_pattern(rows, cols, stiffness.shape, src, sign,
+                            2 * mesh.nsubedges + dof.size, within=stiffness)
+
+
+def density_patterns_coo(mesh):
+    """The vertical-from-horizontal and horizontal-from-vertical coupling
+    patterns of the density solve, one COO entry per sub-edge."""
+    nv, nh = mesh.n_vertical, mesh.nedges - mesh.n_vertical
+    v, h = mesh.sub_pair[:, 0], mesh.sub_pair[:, 1] - nv
+    return assemble_pattern(v, h, (nv, nh)), assemble_pattern(h, v, (nh, nv))
 
 
 # ----------------------------------------------------------------------
