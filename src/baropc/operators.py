@@ -192,13 +192,10 @@ class Pattern:
         return sp.csr_matrix((self.source @ x, self.indices, self.indptr), shape=self.shape)
 
 
-# Every cell is a translate of one cell: along a family of grid rows (of edges
-# or cells), row j + 1 of a per-mesh array is row j moved by a fixed step,
-# but on the first and last row.  So they are translated, not sorted.
-
 def grid_rows(n):
-    """(row, count) pairs standing for n grid rows: the first row, the second
-    for the inner ones, and the last, each with how many rows it stands for."""
+    """(row, count) pairs for n grid rows: the first, the second standing for
+    the inner ones and the last.  Every cell is a translate of one cell, so
+    the others' rows of a per-mesh array are translated, not sorted."""
     return [(0, 1), (1, n - 2), (n - 1, 1)] if n > 2 else [(j, 1) for j in range(n)]
 
 
@@ -220,9 +217,8 @@ def translates(pieces):
 
 
 def translated_csr(rep, families, col_step, data_step=None):
-    """The CSR of rep's shape whose rows form families of grid rows, (first
-    row, rows per grid row, `grid_rows` pairs) each, from a CSR `rep`
-    holding the rows of the grid rows listed: one grid row up adds
+    """The CSR translated from the listed grid rows of `rep` to families of
+    (first row, rows per grid row, `grid_rows` pairs): one grid row up adds
     col_step(columns) to a row's columns and data_step to its data."""
     pieces, steps, nnz = [], col_step(rep.indices), 0
     for start, width, classes in families:
@@ -269,8 +265,7 @@ def viscous_stiffness(mesh, mu):
     gradients); returns CSR of size (2*nedges, 2*nedges), flat dof 2*edge
     + component.  Symmetric positive semi-definite.  Couplings that vanish
     for every mu are not stored: the pattern depends on the mesh only.
-    The rows of the edges of cell rows 0, 1 and ny - 1 are one COO assembly,
-    translated to the others (`dof_rows`); no entry sums more than 2 cells.
+    Translated from cell rows 0, 1 and ny - 1; an entry sums at most 2 cells.
     """
     if mu < 0.0:
         raise FieldError("viscosity must be nonnegative")
@@ -385,15 +380,12 @@ def subedge_velocity_coeffs(mesh, u):
 
 
 def convection_pattern(mesh, K=None, interior=None):
-    """The convection matrix's pattern, refilled from the inputs [X, Y] of
-    `convection_stencil`; with K, a CSR with sorted indices holding the
-    convection entries and the diagonal, that pattern, filled in the rows
-    where `interior` only, from one more input per dof at its diagonal.
-
-    X_s adds at (s1, s1) and its negative at (s2, s1), Y_s at (s1, s2) and
-    its negative at (s2, s2), per component.  The slot of an entry of cell
-    rows 0, 1 and ny - 1 (or of a `dof_rows` row) is its row's start plus
-    its rank in the row; a grid row up, it moves as the row start does."""
+    """The convection matrix's pattern from the inputs [X, Y] of
+    `convection_stencil`: X_s adds at (s1, s1) and its negative at (s2, s1),
+    Y_s at (s1, s2) and its negative at (s2, s2), per component.  With K, a
+    CSR with sorted indices holding these entries and the diagonal, K's
+    pattern, filled in `interior` rows only, plus one input per dof at its
+    diagonal.  A slot is its row's start plus its rank in the row."""
     nx, nsub, n = mesh.nx, mesh.nsubedges, 2 * mesh.nedges
     families, step = dof_rows(mesh)
     s = np.concatenate([4 * nx * j + np.arange(4 * nx) for j, _ in grid_rows(mesh.ny)])

@@ -145,8 +145,8 @@ def _density_plan(mesh):
     """Vertical and horizontal diamond of every sub-edge, and the CSR
     patterns of the vertical-from-horizontal and horizontal-from-vertical
     couplings, one entry per sub-edge each: the first translated from cell
-    rows 0, 1 and ny - 1 with each entry's sub-edge as its value (4 nx more a
-    grid row up), the second its transpose, which scipy writes unsorted."""
+    rows 0, 1 and ny - 1 with each entry's sub-edge as its value, the second
+    its transpose."""
     nx, ny, nv = mesh.nx, mesh.ny, mesh.n_vertical
     v = ops._frozen(np.ascontiguousarray(mesh.sub_pair[:, 0]))
     h = ops._frozen(mesh.sub_pair[:, 1] - nv)
@@ -244,10 +244,9 @@ def _momentum_plan(mesh, stiffness):
     K, interior = stiffness, np.repeat(~mesh.edge_is_boundary, 2)
     pattern = ops.convection_pattern(mesh, K, interior)
     viscous = np.where(np.repeat(interior, np.diff(K.indptr)), K.data, 0.0)
-    diagonal = K.data[pattern.source.indices[-interior.size:]]    # the mass inputs' slots
-    diagonal = np.mean(diagonal[interior]) if interior.any() else 0.0
-    return SimpleNamespace(pattern=pattern, viscous=ops._frozen(viscous),
-                           interior=ops._frozen(interior), viscous_diagonal=diagonal)
+    diagonal = K.data[pattern.source.indices[-interior.size:]][interior]   # mass inputs' slots
+    return SimpleNamespace(pattern=pattern, viscous=ops._frozen(viscous), interior=ops._frozen(
+        interior), viscous_diagonal=np.mean(diagonal) if diagonal.size else 0.0)
 
 
 def _stiffness(mesh, mu):
