@@ -27,6 +27,8 @@ from .verification import (SmoothFlowCase, convergence_study, error_norms,
                            initial_exact_state, make_config, step_count,
                            write_convergence_csv)
 
+RHO_AMP, U_MAX = 0.3, 0.5     # perturbed start: relative density bump and peak speed
+
 
 class ConfigError(ValueError):
     pass
@@ -240,7 +242,7 @@ def _cmd_convergence(cfg):
     return 0
 
 
-def perturbed_initial_state(mesh, eos, seed, rho_amp=0.3, u_max=0.5):
+def perturbed_initial_state(mesh, eos, seed):
     """Seeded smooth perturbation around rest, zero on the boundary."""
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, size=4)
@@ -257,11 +259,11 @@ def perturbed_initial_state(mesh, eos, seed, rho_amp=0.3, u_max=0.5):
     def rho0(x):
         sx, sy, cx, cy = bump(x)
         shape = a[0] * sx * sy + a[1] * sx * cy + a[2] * cx * sy + a[3] * cx * cy
-        return 1.0 + rho_amp * shape / max(1.0, np.abs(shape).max())
+        return 1.0 + RHO_AMP * shape / max(1.0, np.abs(shape).max())
 
     def u0(x):
         sx, sy, cx, cy = bump(x)
-        return u_max * np.column_stack([sx * sy * cy, -sx * sy * cx])
+        return U_MAX * np.column_stack([sx * sy * cy, -sx * sy * cx])
 
     state = initial_state(mesh, eos, rho0, u0)
     u = state.u.copy()

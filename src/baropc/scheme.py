@@ -244,7 +244,7 @@ def _momentum_plan(mesh, stiffness):
     K, interior = stiffness, np.repeat(~mesh.edge_is_boundary, 2)
     pattern = ops.convection_pattern(mesh, K, interior)
     viscous = np.where(np.repeat(interior, np.diff(K.indptr)), K.data, 0.0)
-    diagonal = K.data[pattern.source.indices[-interior.size:]][interior]   # mass inputs' slots
+    diagonal = K.diagonal()[interior]
     return SimpleNamespace(pattern=pattern, viscous=ops._frozen(viscous), interior=ops._frozen(
         interior), viscous_diagonal=np.mean(diagonal) if diagonal.size else 0.0)
 

@@ -22,7 +22,7 @@ from .scheme import SchemeConfig, Stepper, initial_state
 
 _PI = np.pi
 _BLOCK = 8192        # points per block of the forcing evaluation
-_QUAD = 3            # Gauss points per direction of the cell rule
+_QUAD = 3            # Gauss points per direction of the cell and edge rules
 
 
 class SmoothFlowCase:
@@ -104,36 +104,29 @@ class SmoothFlowCase:
 # ----------------------------------------------------------------------
 # discrete data extracted from the case
 
-def _at_fixed_points(case, mesh, points):
-    """The case's time-independent factors (`spatial`) at one of the mesh's
-    fixed point sets, computed once per mesh; else the points themselves."""
-    spatial = getattr(case, "spatial", None)
-    if spatial is None:
-        return points
-    return mesh.cached(("spatial", spatial, id(points)),
-                       lambda mesh: (points, spatial(points)))[1]
-
-
 def boundary_provider(case):
     """Dirichlet data callback: exact edge means at the requested time on
-    the boundary rows, zero on the interior rows (no stage reads them)."""
+    the boundary rows, zero on the interior rows (no stage reads them).
+    The case's factors at the boundary Gauss points are cached per mesh."""
     def bc(mesh, t):
-        out = np.zeros((mesh.nedges, 2))
+        pts, w = ops.edge_points(mesh, _QUAD)
         bnd = mesh.boundary_edges
-        out[bnd] = ops.edge_mean(
-            mesh, lambda pts: case.velocity(_at_fixed_points(case, mesh, pts), t), edges=bnd)
+        factors = mesh.cached(("boundary_factors", case.spatial),
+                              lambda mesh: ops._frozen(case.spatial(pts[bnd])))
+        out = np.zeros((mesh.nedges, 2))
+        out[bnd] = np.einsum("q,eqd->ed", w, case.velocity(factors, t))
         return out
     return bc
 
 
-def _cell_quadrature(mesh, n):
-    """Cell Gauss points (ncells, q, 2), weights (q,) and basis values (q, 4)."""
+def _cell_quadrature(mesh, n, spatial):
+    """The read-only factors `spatial(points)` at the cell Gauss points
+    (ncells, q, 2), the weights (q,) and the basis values (q, 4)."""
     def build(mesh):
         ref, _ = ops.gauss_points_2d(n)
         pts, w = ops.cell_quadrature_points(mesh, n)
-        pts.flags.writeable = False
-        return pts, w, ops.basis_values(ref)
-    return mesh.cached(("cell_quadrature", n), build)
+        return ops._frozen(spatial(pts)), w, ops.basis_values(ref)
+    return mesh.cached(("cell_quadrature", n, spatial), build)
 
 
 def assemble_forcing(case, mesh, t, quad_order=_QUAD):
@@ -145,8 +138,7 @@ def assemble_forcing(case, mesh, t, quad_order=_QUAD):
     range of the discrete gradient by construction.  The quadrature data
     and the case's factors at its points are cached per mesh.
     """
-    pts, w, phi = _cell_quadrature(mesh, quad_order)
-    x = _at_fixed_points(case, mesh, pts)
+    x, w, phi = _cell_quadrature(mesh, quad_order, case.spatial)
     contrib = np.moveaxis(case.forcing_rest(x, t), -1, 0) @ (w[:, None] * phi)  # (2, nc, 4)
     scatter = mesh.cell_edges.ravel()
     rhs = np.stack([np.bincount(scatter, weights=c.ravel(), minlength=mesh.nedges)
@@ -163,10 +155,10 @@ def error_norms(mesh, state, case):
     the exact velocity with a tensor Gauss rule per cell; the pressure
     error is the cellwise midpoint (piecewise-constant) distance.
     """
-    pts, w, phi = _cell_quadrature(mesh, _QUAD)
+    x, w, phi = _cell_quadrature(mesh, _QUAD, case.spatial)
     coeffs = state.u[mesh.cell_edges]                # (ncells, 4, 2)
     u_h = phi @ coeffs                               # (ncells, q, 2)
-    diff = u_h - case.velocity(_at_fixed_points(case, mesh, pts), state.t)
+    diff = u_h - case.velocity(x, state.t)
     err_v = np.sqrt(np.einsum("q,cqd->", w, diff ** 2))
     p_ex = case.pressure(mesh.cell_centroids, state.t)
     err_p = np.sqrt(np.sum(mesh.cell_volumes * (state.p - p_ex) ** 2))

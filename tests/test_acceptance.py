@@ -84,8 +84,7 @@ def test_criterion_3_unconditional_stability():
             cfg = sch.SchemeConfig(
                 dt=dt, mu=1e-2, eos=eos, proj_eps=1e-10,
                 lin=SolverConfig(rel_tol=1e-12, abs_tol=1e-15))
-            state = perturbed_initial_state(mesh, eos, seed=0,
-                                            rho_amp=0.3, u_max=0.5)
+            state = perturbed_initial_state(mesh, eos, seed=0)
             stepper = sch.Stepper(mesh, cfg)
             ledger = diag.EnergyLedger(mesh, cfg, stepper.stiffness)
             ledger.record_initial(state)

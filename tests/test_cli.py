@@ -202,10 +202,12 @@ def test_stability_zero_viscosity_64_exits_zero(tmp_path, capsys):
     ("8x8", "0.5"),
     pytest.param("4x4", "1.0", marks=pytest.mark.xfail(
         strict=True, raises=AssertionError,
-        reason="the lagged passes stall at residual 1.9e-1 after 100 passes (ROADMAP item 6)")),
+        reason="the lagged passes stall at residual 1.9e-1 after 100 passes "
+               "(ROADMAP item 2, Anderson-accelerated projection passes)")),
     pytest.param("8x8", "1.0", marks=pytest.mark.xfail(
         strict=True, raises=AssertionError,
-        reason="the sixth lagged pass leaves the affine law's pressure range (ROADMAP item 6)")),
+        reason="the sixth lagged pass leaves the affine law's pressure range "
+               "(ROADMAP item 2, Anderson-accelerated projection passes)")),
 ])
 def test_relaxation_rescues_a_high_mach_affine_projection(tmp_path, capsys, mesh, alpha):
     rc = main(["stability", "--mesh", mesh, "--dt", "1", "--eos", "affine", "--mach", "30",

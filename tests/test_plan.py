@@ -418,6 +418,32 @@ def test_boundary_data_matches_pointwise_edge_means():
         np.testing.assert_array_equal(got[mesh.interior_edges], 0.0)
 
 
+def test_exact_flow_caches_are_named_filled_in_one_step_and_read_only(monkeypatch):
+    """A smooth-flow Stepper fills its mesh's cache in its first step: two
+    more steps and a two-dt study on the same mesh add no entry.  The only
+    integers in the keys are Gauss point counts, no key holds bytes, and
+    the exact flow's factors at the cell and boundary Gauss points are
+    cached read-only."""
+    case = ver.SmoothFlowCase()
+    mesh = build_rect_mesh(6, 5, case.domain)
+    stepper = sch.Stepper(mesh, ver.make_config(case, 0.05))
+    state, _ = stepper.step(ver.initial_exact_state(case, mesh))
+    first = set(mesh._cache)
+    stepper.run(state, 2)
+    monkeypatch.setattr(ver.mesh_module, "build_rect_mesh", lambda nx, ny, domain: mesh)
+    ver.convergence_study([(6, 5)], [0.05, 0.025], t_end=0.1)
+    assert set(mesh._cache) == first
+    parts = [p for key in first for p in (key if isinstance(key, tuple) else (key,))]
+    assert {p for p in parts if isinstance(p, int)} == {ver._QUAD}
+    assert not any(isinstance(p, bytes) for p in parts)
+    cell, _, _ = mesh.cached(("cell_quadrature", ver._QUAD, case.spatial), None)
+    boundary = mesh.cached(("boundary_factors", case.spatial), None)
+    assert [f.shape for f in boundary] == [(mesh.boundary_edges.size, ver._QUAD)] * 4
+    assert [f.shape for f in cell] == [(mesh.ncells, ver._QUAD ** 2)] * 4
+    for a in (*cell, *boundary, *ops.edge_points(mesh, ver._QUAD)):
+        assert not a.flags.writeable
+
+
 def test_step_reads_only_the_boundary_rows_of_the_data():
     """A smooth-flow step whose boundary data carry NaN in the interior rows
     gives the state of the zero-interior data, bit for bit."""

@@ -159,7 +159,7 @@ def test_predict_density_dense_oracle(rng):
 @pytest.mark.xfail(strict=True, raises=SchemeError,
                    reason="boundary inflow is taken at the diamond's own density, which breaks "
                           "the M-matrix: predicted density lost positivity (min -1.096e+01) "
-                          "(ROADMAP item 8)")
+                          "(ROADMAP item 3, density positivity under boundary inflow)")
 def test_predict_density_stays_positive_under_boundary_inflow():
     mesh = build_rect_mesh(5, 4)
     eos = AffineLaw()
@@ -482,7 +482,8 @@ def test_projection_leaving_the_eos_domain_raises_with_history():
     pytest.param(1.0, marks=pytest.mark.xfail(
         strict=True, raises=SchemeError,
         reason="the lagged passes lose contraction as the velocity grows and stall "
-               "at residual 5.7e-2 after 100 passes (ROADMAP item 6)")),
+               "at residual 5.7e-2 after 100 passes "
+               "(ROADMAP item 2, Anderson-accelerated projection passes)")),
 ])
 def test_relaxation_rescues_a_fast_linear_law_projection(alpha):
     mesh = build_rect_mesh(4, 4)

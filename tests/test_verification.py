@@ -151,6 +151,8 @@ def test_exact_fields_shapes_and_pressure():
 class _GradientOnlyCase:
     """Forcing that is exactly a pressure gradient (f_rest = 0)."""
 
+    spatial = staticmethod(lambda x: x)     # the fields take the points themselves
+
     def __init__(self, pressure):
         self._pressure = pressure
 
