@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from . import diagnostics as diag
+from . import operators as ops
 from .eos import make_eos
 from .linsolve import SolverConfig
 from .mesh import build_rect_mesh
@@ -265,7 +266,7 @@ def perturbed_initial_state(mesh, eos, seed):
         sx, sy, cx, cy = bump(x)
         return U_MAX * np.column_stack([sx * sy * cy, -sx * sy * cx])
 
-    state = initial_state(mesh, eos, rho0, u0)
+    state = initial_state(mesh, eos, rho0(mesh.cell_centroids), ops.edge_mean(mesh, u0))
     u = state.u.copy()
     u[mesh.boundary_edges] = 0.0
     state.u = u

@@ -127,25 +127,16 @@ class RectMesh:
 
     def _build_subedges(self):
         # the grid is uniform, so each of a cell's four sub-edges has the
-        # same length, normal and offset from the centroid in every cell;
-        # vertex slots BL, BR, TL, TR
+        # same length and normal in every cell; vertex slots BL, BR, TL, TR.
+        # The normal is the offset vertex - centroid, (+-hx, +-hy) / 2, turned
+        # a quarter, signed to point out of the cone of the pair's vertical edge
         hx, hy = self.hx, self.hy
-        sx = np.array([-1.0, 1.0, -1.0, 1.0])
-        sy = np.array([-1.0, -1.0, 1.0, 1.0])
-        off = 0.5 * np.column_stack([sx * hx, sy * hy])     # vertex - centroid
         diag = np.hypot(hx, hy)
-        # off turned a quarter, signed to point out of the cone of the
-        # vertical edge of the pair
-        normal = np.column_stack([-sx * hy, sy * hx]) / diag
+        normal = np.array([[hy, -hx], [-hy, -hx], [hy, hx], [-hy, hx]]) / diag
 
         self.sub_cell = np.repeat(np.arange(self.ncells), 4)
         self.sub_pair = self.cell_edges[:, np.array(_VERTEX_EDGES)].reshape(-1, 2)
         self.sub_lengths = np.full(self.sub_cell.size, 0.5 * diag)
-        # a midpoint's x depends on the cell's column only, its y on its row
-        mids = np.empty((self.ny, self.nx, 4, 2))
-        mids[..., 0] = self.cell_centroids[:self.nx, 0, None] + 0.5 * off[:, 0]
-        mids[..., 1] = self.cell_centroids[::self.nx, 1, None, None] + 0.5 * off[:, 1]
-        self.sub_midpoints = mids.reshape(-1, 2)
         self.sub_normals = np.tile(normal, (self.ncells, 1))
         self.nsubedges = self.sub_cell.size
 

@@ -82,16 +82,6 @@ def gauss_points_2d(n):
     return np.column_stack([xx.ravel(), yy.ravel()]), ww.ravel()
 
 
-def cell_quadrature_points(mesh, n):
-    """Physical quadrature points per cell: (ncells, n*n, 2) and weights.
-
-    Weights already include the Jacobian hx*hy/4, i.e. they sum to |K|.
-    """
-    ref, w = gauss_points_2d(n)
-    pts = mesh.cell_centroids[:, None, :] + 0.5 * ref[None, :, :] * np.array([mesh.hx, mesh.hy])
-    return pts, w * (mesh.hx * mesh.hy / 4.0)
-
-
 def edge_points(mesh, n):
     """Gauss points of every edge, (nedges, n, 2) and read-only, and the
     weights (n,) that take their values to edge means; built once per n."""
@@ -101,6 +91,24 @@ def edge_points(mesh, n):
                + mesh.edge_p1[:, None, :] * (1.0 + x[None, :, None]) / 2.0)
         return _frozen(pts), _frozen(w / 2.0)     # means, not integrals
     return mesh.cached(("edge_points", n), build)
+
+
+def coordinate_lines(mesh, n):
+    """The n-point Gauss points of the cells (q = n*n, as `gauss_points_2d`)
+    and of the vertical and the horizontal edges (q = n, as `edge_points`) as
+    coordinate lines, read-only and built once per n: a pair (x1 (columns,
+    q), x2 (rows, q)) per point set, whose point q in grid row j and column i
+    is (x1[i, q], x2[j, q])."""
+    def build(mesh):
+        (ref, _), (x, _), c = gauss_points_2d(n), gauss_points_1d(n), mesh.cell_centroids
+        nx, nv, p0, p1, lo, hi = mesh.nx, mesh.n_vertical, mesh.edge_p0, mesh.edge_p1, 1 - x, 1 + x
+        edge = lambda at, d: p0[at, d, None] * lo / 2.0 + p1[at, d, None] * hi / 2.0  # noqa: E731
+        lines = _frozen((c[:nx, 0, None] + 0.5 * ref[:, 0] * mesh.hx,
+                         c[::nx, 1, None] + 0.5 * ref[:, 1] * mesh.hy,
+                         edge(slice(nx + 1), 0), edge(slice(0, nv, nx + 1), 1),
+                         edge(slice(nv, nv + nx), 0), edge(slice(nv, None, nx), 1)))
+        return lines[:2], lines[2:4], lines[4:]
+    return mesh.cached(("coordinate_lines", n), build)
 
 
 def edge_mean(mesh, func, n=3):
@@ -458,7 +466,7 @@ def pressure_pattern(mesh):
                                  (np.ones(nc, dtype=bool), diag, 0), (right, diag + 1, 1),
                                  (above, indptr[1:] - 1, nx)):
             indices[pos[has]] = np.flatnonzero(has) + offset
-        K, L = (mesh.edge_cells[mesh.interior_edges, side] for side in (0, 1))
+        _, _, K, L = interior_diamonds(mesh)
         vertical = mesh.interior_edges < mesh.n_vertical        # L = K + 1, else L = K + nx
         K_to_L = np.where(vertical, diag[K] + 1, indptr[K + 1] - 1)
         L_to_K = np.where(vertical, diag[L] - 1, indptr[L])
@@ -471,6 +479,13 @@ def pressure_pattern(mesh):
             shape=(indices.size, 2 * m + nc))
         return Pattern(indptr, indices, (nc, nc), source)
     return mesh.cached("pressure_pattern", build)
+
+
+def interior_diamonds(mesh):
+    """Squared length, diamond volume and both cells K, L of every interior edge."""
+    e = mesh.interior_edges
+    return mesh.cached("interior_diamonds", lambda mesh: _frozen((
+        mesh.edge_lengths[e] ** 2, mesh.diamond_volumes[e], *(x[e] for x in _edge_cells(mesh)))))
 
 
 def pressure_laplacian(mesh, w, q_up=None, shift=None):
@@ -495,8 +510,7 @@ def pressure_laplacian(mesh, w, q_up=None, shift=None):
         if np.any(q_up < 0.0):
             raise FieldError("upwind weight must be nonnegative")
         q = q_up[internal]
-    sq_length, volume = mesh.cached("interior_diamonds", lambda mesh: (
-        _frozen(mesh.edge_lengths[internal] ** 2), _frozen(mesh.diamond_volumes[internal])))
+    sq_length, volume, _, _ = interior_diamonds(mesh)
     c = (q / w[internal]) * sq_length / volume
     shift = np.zeros(mesh.ncells) if shift is None else shift
     return pressure_pattern(mesh).fill(np.concatenate([c, c, shift]))

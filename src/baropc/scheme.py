@@ -99,17 +99,11 @@ class StepReport:
     solver_iterations: dict    # Krylov iterations per stage; "density" counts the reduced system's
 
 
-def initial_state(mesh, eos, rho0, u0):
-    """State at t = 0 from pointwise initial fields.
-
-    The density is sampled at cell centroids, the velocity through its
-    edge-mean functionals, and the pressure is the EOS inverse of the
-    density.
-    """
-    rho = np.asarray(rho0(mesh.cell_centroids), dtype=float)
+def initial_state(mesh, eos, rho, u):
+    """State at t = 0 from the cell densities and the velocity's edge means
+    (nedges, 2); the pressure is the EOS inverse of the density."""
     if np.any(rho <= 0.0):
         raise SchemeError("initial density must be strictly positive")
-    u = ops.edge_mean(mesh, u0)
     if u.ndim == 1:
         raise SchemeError("initial velocity must be vector valued")
     p = eos.pressure(rho)

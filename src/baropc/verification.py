@@ -23,6 +23,7 @@ from .scheme import SchemeConfig, Stepper, initial_state
 _PI = np.pi
 _BLOCK = 8192        # points per block of the forcing evaluation
 _QUAD = 3            # Gauss points per direction of the cell and edge rules
+_EDGE_MEAN = ops._frozen(ops.gauss_points_1d(_QUAD)[1] / 2.0)   # edge_points' weights
 
 
 class SmoothFlowCase:
@@ -45,8 +46,8 @@ class SmoothFlowCase:
     # -- primitive fields and their derivatives -----------------------
     @staticmethod
     def spatial(x):
-        """Factors sin/cos(pi x1), sin/cos(pi x2) at points x.  Every field
-        method accepts them in place of x, so fixed points need them once."""
+        """Factors sin/cos(pi x1), then sin/cos(pi x2), at points x.  Every
+        field method accepts them in place of x, so fixed points need them once."""
         if isinstance(x, tuple):
             return x
         x1, x2 = x[..., 0], x[..., 1]
@@ -104,28 +105,44 @@ class SmoothFlowCase:
 # ----------------------------------------------------------------------
 # discrete data extracted from the case
 
+def _grid_factors(spatial, families):
+    """The read-only factors `spatial(points)`, (points, q) each, at the point
+    sets of coordinate lines (x1, x2) in turn: the first half depend on x1
+    alone and the rest on x2, so they are evaluated on the lines and broadcast."""
+    lines = np.concatenate([x for family in families for x in family])
+    f = np.array(spatial(np.stack([lines, lines], axis=-1)))     # (factors, lines, q)
+    half, at, line = len(f) // 2, 0, 0
+    out = np.empty((len(f), sum(len(x1) * len(x2) for x1, x2 in families), lines.shape[1]))
+    for x1, x2 in families:
+        cols, rows = len(x1), len(x2)
+        grid = out[:, at:at + rows * cols].reshape(len(f), rows, cols, -1)
+        grid[:half] = f[:half, None, line:line + cols]
+        grid[half:] = f[half:, line + cols:line + cols + rows, None]
+        at, line = at + rows * cols, line + cols + rows
+    return ops._frozen(tuple(out))
+
+
 def boundary_provider(case):
     """Dirichlet data callback: exact edge means at the requested time on
     the boundary rows, zero on the interior rows (no stage reads them).
     The case's factors at the boundary Gauss points are cached per mesh."""
     def bc(mesh, t):
-        pts, w = ops.edge_points(mesh, _QUAD)
-        bnd = mesh.boundary_edges
-        factors = mesh.cached(("boundary_factors", case.spatial),
-                              lambda mesh: ops._frozen(case.spatial(pts[bnd])))
+        _, (x1v, x2v), (x1h, x2h) = ops.coordinate_lines(mesh, _QUAD)
+        factors = mesh.cached(("boundary_factors", case.spatial), lambda mesh: _grid_factors(
+            case.spatial, ((x1v[[0, -1]], x2v), (x1h, x2h[[0, -1]]))))    # the outer lines
         out = np.zeros((mesh.nedges, 2))
-        out[bnd] = np.einsum("q,eqd->ed", w, case.velocity(factors, t))
+        out[mesh.boundary_edges] = np.einsum("q,eqd->ed", _EDGE_MEAN, case.velocity(factors, t))
         return out
     return bc
 
 
 def _cell_quadrature(mesh, n, spatial):
     """The read-only factors `spatial(points)` at the cell Gauss points
-    (ncells, q, 2), the weights (q,) and the basis values (q, 4)."""
+    (ncells, q), the weights (q,), summing to |K|, and the basis values (q, 4)."""
     def build(mesh):
-        ref, _ = ops.gauss_points_2d(n)
-        pts, w = ops.cell_quadrature_points(mesh, n)
-        return ops._frozen(spatial(pts)), w, ops.basis_values(ref)
+        ref, w = ops.gauss_points_2d(n)
+        return (_grid_factors(spatial, ops.coordinate_lines(mesh, n)[:1]),
+                w * (mesh.hx * mesh.hy / 4.0), ops.basis_values(ref))
     return mesh.cached(("cell_quadrature", n, spatial), build)
 
 
@@ -175,9 +192,10 @@ def make_config(case, dt, **settings):
 
 
 def initial_exact_state(case, mesh):
-    return initial_state(mesh, case.eos,
-                         lambda x: case.rho(x, 0.0),
-                         lambda x: case.velocity(x, 0.0))
+    """The exact density at the cell centroids and velocity edge means at t = 0."""
+    factors = _grid_factors(case.spatial, ops.coordinate_lines(mesh, _QUAD)[1:])
+    return initial_state(mesh, case.eos, case.rho(mesh.cell_centroids, 0.0),
+                         np.einsum("q,eqd->ed", _EDGE_MEAN, case.velocity(factors, 0.0)))
 
 
 def step_count(t_end, dt):

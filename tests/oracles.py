@@ -9,7 +9,9 @@ bit.  They are written
 independently of the library's per-slot constants and cached patterns so
 the tests can compare the two routes entry by entry.  The inputs that
 `Stepper.step` computes once and hands to the stages come next, for tests
-that call the stages one at a time.  The last section holds the spatial
+that call the stages one at a time.  The exact flow's section evaluates
+it point by point, at the cell and edge Gauss points the library builds
+from coordinate lines.  The last section holds the spatial
 convergence measurement: smooth-flow runs with their O(dt) error
 extrapolated away, and an upwind transport solve to compare them with.
 """
@@ -138,6 +140,14 @@ def subedges_per_cell(mesh):
         lengths[:, v], mids[:, v], normals[:, v] = ln, m, n
     return (np.repeat(np.arange(mesh.ncells), 4), pair.reshape(-1, 2), lengths.ravel(),
             mids.reshape(-1, 2), normals.reshape(-1, 2))
+
+
+def sub_midpoints(mesh):
+    """Sub-edge midpoints (nsubedges, 2), a quarter of the cell's diagonal
+    from its centroid towards the vertex of the slot (BL, BR, TL, TR)."""
+    quarter = 0.25 * np.array([[-mesh.hx, -mesh.hy], [mesh.hx, -mesh.hy],
+                               [-mesh.hx, mesh.hy], [mesh.hx, mesh.hy]])
+    return (mesh.cell_centroids[:, None, :] + quarter).reshape(-1, 2)
 
 
 def subedge_coeffs_per_cell(mesh, u):
@@ -388,6 +398,21 @@ def exact_fields(case, mesh, t):
     return rho, p, u
 
 
+def cell_quadrature_points(mesh, n):
+    """Physical quadrature points per cell, (ncells, n*n, 2), and weights
+    that include the Jacobian hx*hy/4, i.e. sum to |K|."""
+    ref, w = ops.gauss_points_2d(n)
+    pts = mesh.cell_centroids[:, None, :] + 0.5 * ref[None, :, :] * np.array([mesh.hx, mesh.hy])
+    return pts, w * (mesh.hx * mesh.hy / 4.0)
+
+
+def pointwise_initial_exact_state(case, mesh):
+    """The exact flow's initial state, its velocity the edge means over the
+    edge points (`ops.edge_mean`) rather than from factors on coordinate lines."""
+    return sch.initial_state(mesh, case.eos, case.rho(mesh.cell_centroids, 0.0),
+                             ops.edge_mean(mesh, lambda pts: case.velocity(pts, 0.0)))
+
+
 def drho_dt(case, x, t):
     """d rho / dt of SmoothFlowCase."""
     return 0.25 * np.pi * np.cos(np.pi * t) * (np.cos(np.pi * x[..., 0])
@@ -452,7 +477,7 @@ def jac_momentum(case, x, t):
 def forcing_quadrature(case, mesh, t, quad_order=3):
     """Load vector from pointwise forcing_rest / pressure at every Gauss point."""
     ref, _ = ops.gauss_points_2d(quad_order)
-    pts, w = ops.cell_quadrature_points(mesh, quad_order)
+    pts, w = cell_quadrature_points(mesh, quad_order)
     phi = ops.basis_values(ref)
     contrib = np.einsum("q,cqd,qa->cad", w, case.forcing_rest(pts, t), phi)
     rhs = np.zeros((mesh.nedges, 2))

@@ -277,7 +277,7 @@ def test_subedge_geometry_matches_cell_by_cell_construction(nx, ny, domain):
     cell, pair, lengths, mids, normals = oracles.subedges_per_cell(mesh)
     np.testing.assert_array_equal(mesh.sub_cell, cell)
     np.testing.assert_array_equal(mesh.sub_pair, pair)
-    for got, expect in ((mesh.sub_lengths, lengths), (mesh.sub_midpoints, mids),
+    for got, expect in ((mesh.sub_lengths, lengths), (oracles.sub_midpoints(mesh), mids),
                         (mesh.sub_normals, normals)):
         assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
@@ -290,10 +290,10 @@ def test_subedge_geometry_matches_cell_by_cell_construction(nx, ny, domain):
     shared = np.where(near_p0[:, None], mesh.edge_p0[a], mesh.edge_p1[a])
     along = shared - cent
     np.testing.assert_allclose(np.hypot(along[:, 0], along[:, 1]), mesh.sub_lengths, rtol=1e-14)
-    np.testing.assert_allclose(0.5 * (shared + cent), mesh.sub_midpoints, rtol=1e-14)
+    np.testing.assert_allclose(0.5 * (shared + cent), oracles.sub_midpoints(mesh), rtol=1e-14)
     assert np.abs(np.einsum("sd,sd->s", n, along)).max() <= 1e-14 * mesh.sub_lengths.max()
     cone = (mesh.edge_p0[a] + mesh.edge_p1[a] + cent) / 3.0
-    assert np.all(np.einsum("sd,sd->s", n, mesh.sub_midpoints - cone) > 0.0)
+    assert np.all(np.einsum("sd,sd->s", n, oracles.sub_midpoints(mesh) - cone) > 0.0)
 
 
 @pytest.mark.parametrize("nx, ny, domain", MESHES)
@@ -403,6 +403,43 @@ def test_cached_forcing_matches_pointwise_quadrature(quad_order):
         assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
+@pytest.mark.parametrize("nx, ny, domain", MESHES)
+def test_line_built_factors_equal_the_factors_at_the_points(nx, ny, domain):
+    """The exact flow's factors built on the coordinate lines equal
+    `spatial` at `cell_quadrature_points` and at `edge_points`, bit for bit:
+    at the cells, at all edges and at the boundary edges.  The cell rule's
+    weights are those of `cell_quadrature_points`."""
+    case = ver.SmoothFlowCase()
+    mesh = build_rect_mesh(nx, ny, domain)
+    ver.boundary_provider(case)(mesh, 0.0)
+    for n in (ver._QUAD, 6):
+        cell, w, _ = ver._cell_quadrature(mesh, n, case.spatial)
+        cell_pts, cell_w = oracles.cell_quadrature_points(mesh, n)
+        np.testing.assert_array_equal(w, cell_w)
+        edge_pts, _ = ops.edge_points(mesh, n)
+        for got, points in (
+                (cell, cell_pts),
+                (ver._grid_factors(case.spatial, ops.coordinate_lines(mesh, n)[1:]), edge_pts)):
+            for a, b in zip(got, case.spatial(points), strict=True):
+                np.testing.assert_array_equal(a, b)
+    boundary = mesh.cached(("boundary_factors", case.spatial), None)
+    edge_pts, _ = ops.edge_points(mesh, ver._QUAD)
+    for a, b in zip(boundary, case.spatial(edge_pts[mesh.boundary_edges]), strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("nx, ny, domain", MESHES)
+def test_exact_initial_state_equals_its_pointwise_edge_means(nx, ny, domain):
+    """The exact flow's initial state from factors equals the one whose
+    velocity is `edge_mean` over the edge points, bit for bit."""
+    case = ver.SmoothFlowCase()
+    mesh = build_rect_mesh(nx, ny, domain)
+    got = ver.initial_exact_state(case, mesh)
+    expect = oracles.pointwise_initial_exact_state(case, mesh)
+    for name in ("t", "u", "p", "rho", "rho_edge_pred"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(expect, name))
+
+
 def test_boundary_data_matches_pointwise_edge_means():
     """The Dirichlet data are the exact edge means on the boundary rows,
     bit for bit those of all edges, and exactly zero on the interior rows."""
@@ -423,7 +460,8 @@ def test_exact_flow_caches_are_named_filled_in_one_step_and_read_only(monkeypatc
     more steps and a two-dt study on the same mesh add no entry.  The only
     integers in the keys are Gauss point counts, no key holds bytes, and
     the exact flow's factors at the cell and boundary Gauss points are
-    cached read-only."""
+    cached read-only, as are the coordinate lines they are built from; no
+    edge points are built."""
     case = ver.SmoothFlowCase()
     mesh = build_rect_mesh(6, 5, case.domain)
     stepper = sch.Stepper(mesh, ver.make_config(case, 0.05))
@@ -436,11 +474,13 @@ def test_exact_flow_caches_are_named_filled_in_one_step_and_read_only(monkeypatc
     parts = [p for key in first for p in (key if isinstance(key, tuple) else (key,))]
     assert {p for p in parts if isinstance(p, int)} == {ver._QUAD}
     assert not any(isinstance(p, bytes) for p in parts)
+    assert "edge_points" not in parts
     cell, _, _ = mesh.cached(("cell_quadrature", ver._QUAD, case.spatial), None)
     boundary = mesh.cached(("boundary_factors", case.spatial), None)
     assert [f.shape for f in boundary] == [(mesh.boundary_edges.size, ver._QUAD)] * 4
     assert [f.shape for f in cell] == [(mesh.ncells, ver._QUAD ** 2)] * 4
-    for a in (*cell, *boundary, *ops.edge_points(mesh, ver._QUAD)):
+    lines = mesh.cached(("coordinate_lines", ver._QUAD), None)
+    for a in (*cell, *boundary, *(x for pair in lines for x in pair)):
         assert not a.flags.writeable
 
 

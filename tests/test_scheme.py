@@ -56,8 +56,8 @@ def test_scheme_config_rejects_a_nonfinite_value(name, value):
 def test_initial_state_samples_fields():
     mesh = build_rect_mesh(3, 3)
     eos = PowerLaw(1.4)
-    state = initial_state(mesh, eos, lambda x: 1.0 + 0.1 * x[:, 0],
-                          lambda x: np.column_stack([x[:, 1], -x[:, 0]]))
+    state = initial_state(mesh, eos, 1.0 + 0.1 * mesh.cell_centroids[:, 0],
+                          ops.edge_mean(mesh, lambda x: np.column_stack([x[:, 1], -x[:, 0]])))
     np.testing.assert_allclose(state.rho, 1.0 + 0.1 * mesh.cell_centroids[:, 0])
     np.testing.assert_allclose(state.p, state.rho ** 1.4)
     np.testing.assert_allclose(state.rho_edge_pred,
@@ -70,9 +70,16 @@ def test_initial_state_samples_fields():
 
 def test_initial_state_rejects_nonpositive_density():
     mesh = build_rect_mesh(2, 2)
-    with pytest.raises(SchemeError):
-        initial_state(mesh, LinearLaw(), lambda x: x[:, 0] - 10.0,
-                      lambda x: np.zeros_like(x))
+    with pytest.raises(SchemeError, match="strictly positive"):
+        initial_state(mesh, LinearLaw(), mesh.cell_centroids[:, 0] - 10.0,
+                      np.zeros((mesh.nedges, 2)))
+
+
+def test_initial_state_rejects_a_scalar_velocity():
+    mesh = build_rect_mesh(2, 2)
+    with pytest.raises(SchemeError, match="vector valued"):
+        initial_state(mesh, LinearLaw(), np.ones(mesh.ncells),
+                      ops.edge_mean(mesh, lambda x: x[:, 0]))
 
 
 # ----------------------------------------------------------------------

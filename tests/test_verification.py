@@ -151,16 +151,16 @@ def test_exact_fields_shapes_and_pressure():
 class _GradientOnlyCase:
     """Forcing that is exactly a pressure gradient (f_rest = 0)."""
 
-    spatial = staticmethod(lambda x: x)     # the fields take the points themselves
+    spatial = staticmethod(lambda x: (x[..., 0], x[..., 1]))     # factors x1, x2
 
     def __init__(self, pressure):
         self._pressure = pressure
 
     def forcing_rest(self, x, t):
-        return np.zeros_like(x)
+        return np.zeros(x[0].shape + (2,))
 
     def pressure(self, x, t):
-        return self._pressure(x)
+        return self._pressure(np.stack(x, axis=-1))
 
 
 def test_forcing_gradient_part_linear_pressure():
@@ -240,7 +240,7 @@ def test_error_norm_zero_velocity_gives_exact_norm():
                            "p": case.pressure(mesh.cell_centroids, 0.0)})()
     err_v, _ = ver.error_norms(mesh, state, case)
     # independent high-order quadrature of |u(.,0)|^2, analytic value 1/16
-    pts, w = ops.cell_quadrature_points(mesh, 6)
+    pts, w = oracles.cell_quadrature_points(mesh, 6)
     ref = np.sqrt(np.einsum("q,cqd->", w, case.velocity(pts, 0.0) ** 2))
     assert err_v == pytest.approx(ref, rel=1e-9)
     assert err_v == pytest.approx(0.25, rel=1e-3)
