@@ -82,14 +82,19 @@ def gauss_points_2d(n):
     return np.column_stack([xx.ravel(), yy.ravel()]), ww.ravel()
 
 
+def edge_mean_weights(n):
+    """The read-only weights (n,) that take values at an edge's n Gauss points to its mean."""
+    return _frozen(gauss_points_1d(n)[1] / 2.0)
+
+
 def edge_points(mesh, n):
     """Gauss points of every edge, (nedges, n, 2) and read-only, and the
-    weights (n,) that take their values to edge means; built once per n."""
+    `edge_mean_weights` (n,); built once per n."""
     def build(mesh):
-        x, w = gauss_points_1d(n)
+        x, _ = gauss_points_1d(n)
         pts = (mesh.edge_p0[:, None, :] * (1.0 - x[None, :, None]) / 2.0
                + mesh.edge_p1[:, None, :] * (1.0 + x[None, :, None]) / 2.0)
-        return _frozen(pts), _frozen(w / 2.0)     # means, not integrals
+        return _frozen(pts), edge_mean_weights(n)
     return mesh.cached(("edge_points", n), build)
 
 

@@ -102,10 +102,13 @@ class StepReport:
 def initial_state(mesh, eos, rho, u):
     """State at t = 0 from the cell densities and the velocity's edge means
     (nedges, 2); the pressure is the EOS inverse of the density."""
+    rho, u = np.array(rho, dtype=float), np.array(u, dtype=float)
     if np.any(rho <= 0.0):
         raise SchemeError("initial density must be strictly positive")
     if u.ndim == 1:
         raise SchemeError("initial velocity must be vector valued")
+    if rho.shape != (mesh.ncells,) or u.shape != (mesh.nedges, 2):
+        raise SchemeError("initial fields must have shapes (ncells,) and (nedges, 2)")
     p = eos.pressure(rho)
     return SchemeState(0.0, u, p, rho, ops.edge_density(mesh, rho))
 

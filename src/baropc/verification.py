@@ -23,7 +23,7 @@ from .scheme import SchemeConfig, Stepper, initial_state
 _PI = np.pi
 _BLOCK = 8192        # points per block of the forcing evaluation
 _QUAD = 3            # Gauss points per direction of the cell and edge rules
-_EDGE_MEAN = ops._frozen(ops.gauss_points_1d(_QUAD)[1] / 2.0)   # edge_points' weights
+_EDGE_MEAN = ops.edge_mean_weights(_QUAD)
 
 
 class SmoothFlowCase:
@@ -45,14 +45,18 @@ class SmoothFlowCase:
 
     # -- primitive fields and their derivatives -----------------------
     @staticmethod
-    def spatial(x):
-        """Factors sin/cos(pi x1), then sin/cos(pi x2), at points x.  Every
-        field method accepts them in place of x, so fixed points need them once."""
+    def line_factors(x1, x2):
+        """The factors sin/cos(pi x1) at values x1 and sin/cos(pi x2) at values x2."""
+        return (np.sin(_PI * x1), np.cos(_PI * x1)), (np.sin(_PI * x2), np.cos(_PI * x2))
+
+    @classmethod
+    def spatial(cls, x):
+        """Factors sin/cos(pi x1), sin/cos(pi x2) at points x.  Every field
+        method accepts them in place of x, so fixed points need them once."""
         if isinstance(x, tuple):
             return x
-        x1, x2 = x[..., 0], x[..., 1]
-        return (np.sin(_PI * x1), np.cos(_PI * x1),
-                np.sin(_PI * x2), np.cos(_PI * x2))
+        x1_factors, x2_factors = cls.line_factors(x[..., 0], x[..., 1])
+        return x1_factors + x2_factors
 
     @classmethod
     def _trig(cls, x, t):
@@ -105,20 +109,19 @@ class SmoothFlowCase:
 # ----------------------------------------------------------------------
 # discrete data extracted from the case
 
-def _grid_factors(spatial, families):
-    """The read-only factors `spatial(points)`, (points, q) each, at the point
-    sets of coordinate lines (x1, x2) in turn: the first half depend on x1
-    alone and the rest on x2, so they are evaluated on the lines and broadcast."""
-    lines = np.concatenate([x for family in families for x in family])
-    f = np.array(spatial(np.stack([lines, lines], axis=-1)))     # (factors, lines, q)
-    half, at, line = len(f) // 2, 0, 0
-    out = np.empty((len(f), sum(len(x1) * len(x2) for x1, x2 in families), lines.shape[1]))
+def _grid_factors(line_factors, families):
+    """The read-only factors, (points, q) each, at the point sets of coordinate
+    lines (x1, x2) in turn: `line_factors` evaluates those of x1 on all x1 lines
+    and those of x2 on all x2 lines, and each is broadcast along the other axis."""
+    f1, f2 = (np.array(f) for f in line_factors(*(np.concatenate(x) for x in zip(*families))))
+    out = np.empty((len(f1) + len(f2), sum(len(x1) * len(x2) for x1, x2 in families), f1.shape[-1]))
+    at = col = row = 0
     for x1, x2 in families:
         cols, rows = len(x1), len(x2)
-        grid = out[:, at:at + rows * cols].reshape(len(f), rows, cols, -1)
-        grid[:half] = f[:half, None, line:line + cols]
-        grid[half:] = f[half:, line + cols:line + cols + rows, None]
-        at, line = at + rows * cols, line + cols + rows
+        grid = out[:, at:at + rows * cols].reshape(len(out), rows, cols, -1)
+        grid[:len(f1)] = f1[:, None, col:col + cols]
+        grid[len(f1):] = f2[:, row:row + rows, None]
+        at, col, row = at + rows * cols, col + cols, row + rows
     return ops._frozen(tuple(out))
 
 
@@ -128,22 +131,22 @@ def boundary_provider(case):
     The case's factors at the boundary Gauss points are cached per mesh."""
     def bc(mesh, t):
         _, (x1v, x2v), (x1h, x2h) = ops.coordinate_lines(mesh, _QUAD)
-        factors = mesh.cached(("boundary_factors", case.spatial), lambda mesh: _grid_factors(
-            case.spatial, ((x1v[[0, -1]], x2v), (x1h, x2h[[0, -1]]))))    # the outer lines
+        factors = mesh.cached(("boundary_factors", case.line_factors), lambda mesh: _grid_factors(
+            case.line_factors, ((x1v[[0, -1]], x2v), (x1h, x2h[[0, -1]]))))    # the outer lines
         out = np.zeros((mesh.nedges, 2))
         out[mesh.boundary_edges] = np.einsum("q,eqd->ed", _EDGE_MEAN, case.velocity(factors, t))
         return out
     return bc
 
 
-def _cell_quadrature(mesh, n, spatial):
-    """The read-only factors `spatial(points)` at the cell Gauss points
-    (ncells, q), the weights (q,), summing to |K|, and the basis values (q, 4)."""
+def _cell_quadrature(mesh, n, line_factors):
+    """The read-only factors at the cell Gauss points (ncells, q), the
+    weights (q,), summing to |K|, and the basis values (q, 4)."""
     def build(mesh):
         ref, w = ops.gauss_points_2d(n)
-        return (_grid_factors(spatial, ops.coordinate_lines(mesh, n)[:1]),
+        return (_grid_factors(line_factors, ops.coordinate_lines(mesh, n)[:1]),
                 w * (mesh.hx * mesh.hy / 4.0), ops.basis_values(ref))
-    return mesh.cached(("cell_quadrature", n, spatial), build)
+    return mesh.cached(("cell_quadrature", n, line_factors), build)
 
 
 def assemble_forcing(case, mesh, t, quad_order=_QUAD):
@@ -155,7 +158,7 @@ def assemble_forcing(case, mesh, t, quad_order=_QUAD):
     range of the discrete gradient by construction.  The quadrature data
     and the case's factors at its points are cached per mesh.
     """
-    x, w, phi = _cell_quadrature(mesh, quad_order, case.spatial)
+    x, w, phi = _cell_quadrature(mesh, quad_order, case.line_factors)
     contrib = np.moveaxis(case.forcing_rest(x, t), -1, 0) @ (w[:, None] * phi)  # (2, nc, 4)
     scatter = mesh.cell_edges.ravel()
     rhs = np.stack([np.bincount(scatter, weights=c.ravel(), minlength=mesh.nedges)
@@ -172,7 +175,7 @@ def error_norms(mesh, state, case):
     the exact velocity with a tensor Gauss rule per cell; the pressure
     error is the cellwise midpoint (piecewise-constant) distance.
     """
-    x, w, phi = _cell_quadrature(mesh, _QUAD, case.spatial)
+    x, w, phi = _cell_quadrature(mesh, _QUAD, case.line_factors)
     coeffs = state.u[mesh.cell_edges]                # (ncells, 4, 2)
     u_h = phi @ coeffs                               # (ncells, q, 2)
     diff = u_h - case.velocity(x, state.t)
@@ -193,7 +196,7 @@ def make_config(case, dt, **settings):
 
 def initial_exact_state(case, mesh):
     """The exact density at the cell centroids and velocity edge means at t = 0."""
-    factors = _grid_factors(case.spatial, ops.coordinate_lines(mesh, _QUAD)[1:])
+    factors = _grid_factors(case.line_factors, ops.coordinate_lines(mesh, _QUAD)[1:])
     return initial_state(mesh, case.eos, case.rho(mesh.cell_centroids, 0.0),
                          np.einsum("q,eqd->ed", _EDGE_MEAN, case.velocity(factors, 0.0)))
 

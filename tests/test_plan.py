@@ -413,16 +413,16 @@ def test_line_built_factors_equal_the_factors_at_the_points(nx, ny, domain):
     mesh = build_rect_mesh(nx, ny, domain)
     ver.boundary_provider(case)(mesh, 0.0)
     for n in (ver._QUAD, 6):
-        cell, w, _ = ver._cell_quadrature(mesh, n, case.spatial)
+        cell, w, _ = ver._cell_quadrature(mesh, n, case.line_factors)
         cell_pts, cell_w = oracles.cell_quadrature_points(mesh, n)
         np.testing.assert_array_equal(w, cell_w)
         edge_pts, _ = ops.edge_points(mesh, n)
         for got, points in (
                 (cell, cell_pts),
-                (ver._grid_factors(case.spatial, ops.coordinate_lines(mesh, n)[1:]), edge_pts)):
+                (ver._grid_factors(case.line_factors, ops.coordinate_lines(mesh, n)[1:]), edge_pts)):
             for a, b in zip(got, case.spatial(points), strict=True):
                 np.testing.assert_array_equal(a, b)
-    boundary = mesh.cached(("boundary_factors", case.spatial), None)
+    boundary = mesh.cached(("boundary_factors", case.line_factors), None)
     edge_pts, _ = ops.edge_points(mesh, ver._QUAD)
     for a, b in zip(boundary, case.spatial(edge_pts[mesh.boundary_edges]), strict=True):
         np.testing.assert_array_equal(a, b)
@@ -461,7 +461,8 @@ def test_exact_flow_caches_are_named_filled_in_one_step_and_read_only(monkeypatc
     integers in the keys are Gauss point counts, no key holds bytes, and
     the exact flow's factors at the cell and boundary Gauss points are
     cached read-only, as are the coordinate lines they are built from; no
-    edge points are built."""
+    edge points are built, and the edge points `edge_mean` builds later are
+    read-only."""
     case = ver.SmoothFlowCase()
     mesh = build_rect_mesh(6, 5, case.domain)
     stepper = sch.Stepper(mesh, ver.make_config(case, 0.05))
@@ -475,12 +476,13 @@ def test_exact_flow_caches_are_named_filled_in_one_step_and_read_only(monkeypatc
     assert {p for p in parts if isinstance(p, int)} == {ver._QUAD}
     assert not any(isinstance(p, bytes) for p in parts)
     assert "edge_points" not in parts
-    cell, _, _ = mesh.cached(("cell_quadrature", ver._QUAD, case.spatial), None)
-    boundary = mesh.cached(("boundary_factors", case.spatial), None)
+    cell, _, _ = mesh.cached(("cell_quadrature", ver._QUAD, case.line_factors), None)
+    boundary = mesh.cached(("boundary_factors", case.line_factors), None)
     assert [f.shape for f in boundary] == [(mesh.boundary_edges.size, ver._QUAD)] * 4
     assert [f.shape for f in cell] == [(mesh.ncells, ver._QUAD ** 2)] * 4
     lines = mesh.cached(("coordinate_lines", ver._QUAD), None)
-    for a in (*cell, *boundary, *(x for pair in lines for x in pair)):
+    for a in (*cell, *boundary, *(x for pair in lines for x in pair),
+              *ops.edge_points(mesh, ver._QUAD)):
         assert not a.flags.writeable
 
 

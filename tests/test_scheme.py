@@ -82,6 +82,19 @@ def test_initial_state_rejects_a_scalar_velocity():
                       ops.edge_mean(mesh, lambda x: x[:, 0]))
 
 
+def test_initial_state_rejects_misshapen_fields_and_copies_its_inputs():
+    """Fields of the wrong length are refused; lists are taken as arrays,
+    and the state holds copies, not the caller's arrays."""
+    mesh = build_rect_mesh(3, 2)
+    rho, u = np.ones(mesh.ncells), np.zeros((mesh.nedges, 2))
+    for bad in ((rho[:-1], u), (rho, u[:-1]), (rho, np.zeros((mesh.nedges, 3)))):
+        with pytest.raises(SchemeError, match="shapes"):
+            initial_state(mesh, LinearLaw(), *bad)
+    state = initial_state(mesh, LinearLaw(), rho.tolist(), u)
+    np.testing.assert_array_equal(state.rho, rho)
+    assert state.u is not u and not np.shares_memory(state.u, u)
+
+
 # ----------------------------------------------------------------------
 # step 1: density prediction
 

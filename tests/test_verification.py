@@ -151,7 +151,7 @@ def test_exact_fields_shapes_and_pressure():
 class _GradientOnlyCase:
     """Forcing that is exactly a pressure gradient (f_rest = 0)."""
 
-    spatial = staticmethod(lambda x: (x[..., 0], x[..., 1]))     # factors x1, x2
+    line_factors = staticmethod(lambda x1, x2: ((x1,), (x2,)))     # factors x1, x2
 
     def __init__(self, pressure):
         self._pressure = pressure
